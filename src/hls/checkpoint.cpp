@@ -1,7 +1,5 @@
 #include "hls/checkpoint.hpp"
 
-#if HLSMPC_RECOVERY_ENABLED
-
 #include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
@@ -23,9 +21,8 @@ namespace hlsmpc::hls {
 
 namespace {
 
-// Mirrors shm/segment.cpp's liveness probe for pid-stamped temporaries.
-// Local copy on purpose: hls does not always link against shm (the tier
-// kill switch decides), and the probe is two lines.
+// Mirrors shm/segment.cpp's liveness probe for pid-stamped temporaries
+// (private to that file; the probe is two lines).
 bool process_alive(long pid) {
   return kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
 }
@@ -632,5 +629,3 @@ CheckpointStore::Report CheckpointStore::restore(StorageManager& storage,
 }
 
 }  // namespace hlsmpc::hls
-
-#endif  // HLSMPC_RECOVERY_ENABLED

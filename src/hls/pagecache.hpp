@@ -37,8 +37,6 @@
 
 #include "hls/tier.hpp"
 
-#if HLSMPC_STORAGE_TIER_ENABLED
-
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -135,5 +133,3 @@ class PageCache {
 };
 
 }  // namespace hlsmpc::hls
-
-#endif  // HLSMPC_STORAGE_TIER_ENABLED

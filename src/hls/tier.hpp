@@ -10,27 +10,20 @@
 // names a stable path, so the data survives process restart and re-opens
 // bit-identical through hls_get_addr.
 //
-// The whole tier sits behind the compile-time switch HLSMPC_STORAGE_TIER
-// (CMake option; macro HLSMPC_STORAGE_TIER_ENABLED). Off, these types
-// still exist so configuration code keeps compiling, but StorageManager
-// rejects non-anonymous tiers and no file/page-cache code is linked
-// (verified by a symbol check, see tests/).
+// Every region is anonymous unless a tier is declared for it
+// (StorageManager::set_tier / set_module_tier), so code that never
+// declares one never touches a file or the page cache.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#ifndef HLSMPC_STORAGE_TIER_ENABLED
-#define HLSMPC_STORAGE_TIER_ENABLED 1
-#endif
-
 namespace hlsmpc::hls {
 
 /// Where a module region's bytes live.
 enum class Tier : std::uint8_t {
-  /// Anonymous memory charged to the memtrack tracker — the default, and
-  /// the only tier when HLSMPC_STORAGE_TIER is compiled out.
+  /// Anonymous memory charged to the memtrack tracker — the default.
   anonymous,
   /// A file at a stable path derived from (scope, instance, module): the
   /// region persists across process restarts — a re-run that declares the

@@ -1,7 +1,5 @@
 #include "mpi/recover.hpp"
 
-#if HLSMPC_RECOVERY_ENABLED
-
 #include <cstring>
 #include <string>
 
@@ -90,8 +88,6 @@ RecoveryChannel::RecvResult FabricRecoveryChannel::recv(
 // ---------------------------------------------------------------------------
 // TcpRecoveryChannel
 
-#if HLSMPC_TCP_ENABLED
-
 bool TcpRecoveryChannel::send(ult::TaskContext& ctx, int dst_node,
                               const void* buf, std::size_t bytes, int tag) {
   try {
@@ -126,8 +122,6 @@ RecoveryChannel::RecvResult TcpRecoveryChannel::recv(
     return RecvResult::dead;
   }
 }
-
-#endif  // HLSMPC_TCP_ENABLED
 
 // ---------------------------------------------------------------------------
 // shrink_agree
@@ -307,5 +301,3 @@ void survivor_allreduce(ult::TaskContext& ctx, RecoveryChannel& ch,
 }
 
 }  // namespace hlsmpc::mpi::recover
-
-#endif  // HLSMPC_RECOVERY_ENABLED

@@ -141,7 +141,6 @@ void Runtime::reset_collectives() {
   }
 }
 
-#if HLSMPC_RMA_ENABLED
 rma::Win& Runtime::register_win(std::unique_ptr<rma::Win> win) {
   std::lock_guard<std::mutex> lk(comms_mu_);
   wins_.push_back(std::move(win));
@@ -157,7 +156,6 @@ void Runtime::release_win(rma::Win& win) {
     }
   }
 }
-#endif
 
 void Runtime::run(const std::function<void(Comm&, ult::TaskContext&)>& body) {
   std::vector<int> pins(static_cast<std::size_t>(nranks_));

@@ -138,9 +138,9 @@ using ReduceFn =
 /// Collective-engine tuning (Runtime Options::coll). The shared-memory
 /// engine exploits the fact that all ranks of a node live in one address
 /// space: collectives move data through a per-communicator shared control
-/// block instead of mailbox messages. The compile-time switch
-/// HLSMPC_COLL_SHM (macro HLSMPC_COLL_SHM_ENABLED) removes the dispatch
-/// entirely, keeping the p2p fallback algorithms buildable and testable.
+/// block instead of mailbox messages. enable_shm = false (env
+/// HLSMPC_COLL_SHM=0) gives p2p-only collectives, and pipeline_threshold =
+/// SIZE_MAX (env HLSMPC_COLL_PIPELINE_THRESHOLD=0) never pipelines.
 struct CollConfig {
   /// Route collectives through the shared-memory engine when a
   /// communicator has >= 2 ranks. Off = always the p2p algorithms
@@ -157,13 +157,13 @@ struct CollConfig {
   /// release-publish sequence numbers, so leaders forward fragment k up
   /// the topology tree while children still produce fragment k+1 and the
   /// reduce and bcast phases of allreduce interleave per fragment.
-  /// SIZE_MAX restores the PR 5 two-way selector (and the
-  /// HLSMPC_COLL_PIPELINE=OFF build forces exactly that). The staged arm
-  /// wins ties: bytes <= small_threshold is checked first. The default
-  /// selects pipelining only where fragment-sized working sets beat the
-  /// monolithic fold's cache behaviour: below ~256 KB per rank the whole
-  /// collective already fits in L2 on current parts and the two paths
-  /// measure even, so the crossover sits past that point.
+  /// SIZE_MAX never pipelines, leaving the two-way staged/zero-copy
+  /// selector. The staged arm wins ties: bytes <= small_threshold is
+  /// checked first. The default selects pipelining only where
+  /// fragment-sized working sets beat the monolithic fold's cache
+  /// behaviour: below ~256 KB per rank the whole collective already fits
+  /// in L2 on current parts and the two paths measure even, so the
+  /// crossover sits past that point.
   std::size_t pipeline_threshold = 256 * 1024;
   /// Fragment granularity of the pipelined path (clamped to >= 1 element).
   /// Cache-friendly sizes (8–64KB) keep a fragment plus its accumulator

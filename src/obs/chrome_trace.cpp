@@ -13,8 +13,8 @@ std::string scope_tag(const TraceNaming& naming, const Event& e) {
   if (e.sid < 0) return "";
   std::string name;
   if (naming.scope_name) name = naming.scope_name(e.sid);
-  if (name.empty()) name = "sid" + std::to_string(e.sid);
-  if (e.instance >= 0) name += "#" + std::to_string(e.instance);
+  if (name.empty()) name.append("sid").append(std::to_string(e.sid));
+  if (e.instance >= 0) name.append("#").append(std::to_string(e.instance));
   return name;
 }
 

@@ -253,6 +253,9 @@ hb::Trace random_trace(std::uint64_t seed, int ntasks, int events_per_task) {
     seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
     return seed >> 33;
   };
+  auto var = [&next] {
+    return std::string("v").append(std::to_string(next() % 2));
+  };
   // Build per-task scripts; sends are generated first and recvs consume
   // them so the trace always replays (matched channels).
   struct Pending {
@@ -263,14 +266,16 @@ hb::Trace random_trace(std::uint64_t seed, int ntasks, int events_per_task) {
   for (int round = 0; round < events_per_task; ++round) {
     for (int t = 0; t < ntasks; ++t) {
       switch (next() % 5) {
-        case 0:
-          trace.write(t, "v" + std::to_string(next() % 2),
-                      static_cast<long>(next() % 3));
+        case 0: {
+          const std::string v = var();
+          trace.write(t, v, static_cast<long>(next() % 3));
           break;
-        case 1:
-          trace.read(t, "v" + std::to_string(next() % 2),
-                     static_cast<long>(next() % 3));
+        }
+        case 1: {
+          const std::string v = var();
+          trace.read(t, v, static_cast<long>(next() % 3));
           break;
+        }
         case 2: {
           const int to = static_cast<int>(next()) % ntasks;
           if (to != t) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpi/runtime.hpp"
@@ -30,10 +32,32 @@ std::string param_name(const testing::TestParamInfo<Param>& info) {
          (info.param.exec == mpi::ExecutorKind::thread ? "thread" : "fiber");
 }
 
+/// The P2pColl instantiation runs every body with coll.enable_shm = false
+/// (env HLSMPC_COLL_SHM=0): collectives over the p2p algorithms instead
+/// of the shared-memory engine. It is keyed on the instantiation name, not
+/// on a Param field, so Param and the Sweep test names stay unchanged.
+bool p2p_coll_instantiation() {
+  const std::string suite =
+      testing::UnitTest::GetInstance()->current_test_info()->test_suite_name();
+  return suite.rfind("P2pColl/", 0) == 0;
+}
+
+mpi::Options param_opts(const Param& p) {
+  mpi::Options o = opts(p.nranks, p.exec);
+  o.coll.enable_shm = !p2p_coll_instantiation();
+  return o;
+}
+
 class MpiParam : public testing::TestWithParam<Param> {
  protected:
+  void SetUp() override {
+    if (p2p_coll_instantiation()) {
+      ASSERT_EQ(rt_.world().shm_engine(), nullptr);
+    }
+  }
+
   topo::Machine machine_ = topo::Machine::nehalem_ex(2);
-  mpi::Runtime rt_{machine_, opts(GetParam().nranks, GetParam().exec)};
+  mpi::Runtime rt_{machine_, param_opts(GetParam())};
 };
 
 }  // namespace
@@ -47,6 +71,13 @@ INSTANTIATE_TEST_SUITE_P(
                     Param{2, mpi::ExecutorKind::fiber},
                     Param{7, mpi::ExecutorKind::fiber},
                     Param{16, mpi::ExecutorKind::fiber}),
+    param_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    P2pColl, MpiParam,
+    testing::Values(Param{5, mpi::ExecutorKind::thread},
+                    Param{8, mpi::ExecutorKind::thread},
+                    Param{7, mpi::ExecutorKind::fiber}),
     param_name);
 
 TEST_P(MpiParam, RankAndSize) {
@@ -302,6 +333,10 @@ TEST(Mpi, RendezvousLargeMessage) {
       }
       world.send(ctx, data.data(), big, 1, 0);
     } else {
+      // Post the receive only once the message sits in the unexpected
+      // queue: a receive posted first takes the sender's direct-copy path
+      // instead (see PostedReceiveCopiesDirectly).
+      world.probe(ctx, 0, 0, nullptr);
       std::vector<std::uint8_t> data(big, 0);
       mpi::Status st;
       world.recv(ctx, data.data(), big, 0, 0, &st);
@@ -312,6 +347,39 @@ TEST(Mpi, RendezvousLargeMessage) {
     }
   });
   EXPECT_GE(rt.stats().rendezvous_sends.load(), 1u);
+}
+
+TEST(Mpi, PostedReceiveCopiesDirectly) {
+  // Receives posted before the barrier are matched by the send itself,
+  // which copies straight into the user buffer: neither eager nor
+  // rendezvous, whatever the size. The shared-memory barrier sends no
+  // transport message, so the two sends are all the traffic.
+  mpi::Runtime rt(mach2(), opts(2, mpi::ExecutorKind::thread));
+  const std::size_t small = 64;
+  const std::size_t big = rt.buffers().eager_threshold() * 4 + 13;
+  rt.run([&](mpi::Comm& world, TaskContext& ctx) {
+    const int me = world.rank(ctx);
+    std::vector<std::uint8_t> a(small, 0), b(big, 0);
+    if (me == 0) {
+      world.barrier(ctx);
+      std::fill(a.begin(), a.end(), std::uint8_t{3});
+      std::fill(b.begin(), b.end(), std::uint8_t{5});
+      world.send(ctx, a.data(), small, 1, 0);
+      world.send(ctx, b.data(), big, 1, 1);
+    } else {
+      mpi::Request ra = world.irecv(ctx, a.data(), small, 0, 0);
+      mpi::Request rb = world.irecv(ctx, b.data(), big, 0, 1);
+      world.barrier(ctx);
+      world.wait(ctx, ra);
+      world.wait(ctx, rb);
+      EXPECT_EQ(a, std::vector<std::uint8_t>(small, 3));
+      EXPECT_EQ(b, std::vector<std::uint8_t>(big, 5));
+    }
+  });
+  const mpi::TransportStats& s = rt.stats();
+  EXPECT_EQ(s.messages.load(), 2u);
+  EXPECT_EQ(s.eager_sends.load(), 0u);
+  EXPECT_EQ(s.rendezvous_sends.load(), 0u);
 }
 
 TEST(Mpi, IsendIrecvWaitAndTest) {

@@ -83,8 +83,9 @@ TEST(Segment, UniqueNamesAreDistinctAndUsable) {
   for (int i = 0; i < 16; ++i) {
     const std::string n = shm::NamedSegment::unique_name("uniq");
     EXPECT_EQ(n.rfind("/hlsmpc.uniq.", 0), 0u) << n;
-    EXPECT_NE(n.find("." + std::to_string(getpid()) + "."),
-              std::string::npos) << n;
+    const std::string pid_part =
+        std::string(".").append(std::to_string(getpid())).append(".");
+    EXPECT_NE(n.find(pid_part), std::string::npos) << n;
     names.insert(n);
   }
   EXPECT_EQ(names.size(), 16u);

@@ -356,7 +356,6 @@ TEST(TierRuntime, SpillFilesAreRemovedAtDestruction) {
 
 // ---- incremental checkpoints over dirty page tracking ------------------
 
-#if HLSMPC_RECOVERY_ENABLED
 TEST(TierRuntime, IncrementalCheckpointSnapshotsOnlyDirtyPages) {
   const std::string ckpt_dir = fresh_dir("hls_tier_ckpt");
   const std::string tier_dir = fresh_dir("hls_tier_ckpt_tier");
@@ -435,4 +434,3 @@ TEST(TierRuntime, IncrementalCheckpointSnapshotsOnlyDirtyPages) {
     }
   }
 }
-#endif  // HLSMPC_RECOVERY_ENABLED

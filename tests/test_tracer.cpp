@@ -53,18 +53,31 @@ TEST(RuntimeTracer, RecordsP2pSynchronization) {
 }
 
 TEST(RuntimeTracer, CollectivesSynchronizeThroughTheirMessages) {
-  // A barrier collective is implemented over p2p; the tracer must capture
-  // enough of its structure that writes before it happen-before reads
-  // after it on every rank.
+  // With the p2p collective algorithms (coll.enable_shm = false) a barrier
+  // is built from messages the tracer records; it must capture enough of
+  // their structure that rank 0's writes before the barrier happen-before
+  // every rank's read after it. Rank 0 writes two values, so a read of
+  // the last one is only coherent through the barrier's edges.
+  //
+  // The shared-memory engine's barrier sends no p2p message, so the tracer
+  // sees no edge from it and advises this program wrongly. That is a known
+  // gap of the trace hook, deliberately not asserted here.
   constexpr int kRanks = 4;
-  mpi::Runtime rt = make_rt(kRanks);
+  mpi::Options o;
+  o.nranks = kRanks;
+  o.coll.enable_shm = false;
+  mpi::Runtime rt(topo::Machine::nehalem_ex(1), o);
+  ASSERT_EQ(rt.world().shm_engine(), nullptr);
   hb::RuntimeTracer tracer(kRanks);
   rt.set_trace_hook(&tracer);
   rt.run([&](mpi::Comm& world, TaskContext& ctx) {
     const int me = world.rank(ctx);
-    tracer.on_write(me, "table", 42);  // everyone writes the same value
+    if (me == 0) {
+      tracer.on_write(me, "x", 0);
+      tracer.on_write(me, "x", 5);
+    }
     world.barrier(ctx);
-    tracer.on_read(me, "table", 42);
+    tracer.on_read(me, "x", 5);
   });
   rt.set_trace_hook(nullptr);
 

@@ -35,6 +35,11 @@ any "context" object (fig3's counter format) skip the check.
 Observability counters (bench_micro_sync emits them as user counters,
 fig3 as a "counters" object) are compared when a benchmark carries them
 in both runs; drift is reported but only fails with --check-counters.
+
+The first line printed gives both runs' context.num_cpus, with a note
+when they differ: a baseline recorded on a host with another CPU count
+is not a like-for-like reference for absolute timings. The note never
+changes the exit code.
 """
 
 import argparse
@@ -65,7 +70,9 @@ def load(path):
         raise SchemaError(f"{path}: no \"benchmarks\" array — not a "
                           "benchmark run")
     ctx = doc.get("context")
+    num_cpus = None
     if isinstance(ctx, dict):
+        num_cpus = ctx.get("num_cpus")
         build = ctx.get("hlsmpc_build_type", ctx.get("library_build_type"))
         if build == "debug":
             raise SchemaError(
@@ -97,7 +104,7 @@ def load(path):
     if not metrics:
         raise SchemaError(f"{path}: \"benchmarks\" array holds no "
                           "comparable entries")
-    return metrics, counters
+    return metrics, counters, num_cpus
 
 
 def main():
@@ -114,8 +121,8 @@ def main():
     args = ap.parse_args()
 
     try:
-        base, base_ctr = load(args.baseline)
-        cand, cand_ctr = load(args.candidate)
+        base, base_ctr, base_cpus = load(args.baseline)
+        cand, cand_ctr, cand_cpus = load(args.candidate)
     except (OSError, json.JSONDecodeError, SchemaError) as e:
         print(f"compare.py: {e}", file=sys.stderr)
         return 2
@@ -124,6 +131,13 @@ def main():
         print("compare.py: no common benchmark names between the two runs",
               file=sys.stderr)
         return 2
+
+    cpus = (f"host cpus: baseline {base_cpus or 'unknown'}, "
+            f"candidate {cand_cpus or 'unknown'}")
+    if base_cpus and cand_cpus and base_cpus != cand_cpus:
+        cpus += ("  (differ: absolute timings are not like-for-like; "
+                 "re-baseline on this host or trust within-run ratios)")
+    print(cpus)
 
     failures = []
     regressions = []

@@ -310,6 +310,8 @@ void SyncManager::watchdog_fire(const CanonicalScope& scope, int inst,
     e.arg2 = missing_mask;
     obs_->record(e);
   }
+#else
+  (void)ctx;
 #endif
   throw HlsError(msg, ErrorCode::deadlock);
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "fault/injector.hpp"
@@ -19,26 +21,6 @@ namespace {
 /// each other's messages.
 constexpr int kP2pContext = 0;
 constexpr int kCollContext = 1;
-
-/// Per-call view of a cluster-global task as a node-local one: node-level
-/// Comm calls derive the rank from ctx.task_id(), which must be the LOCAL
-/// id there. Scheduling behaviour (yield, cooperativeness, schedule hook)
-/// forwards to the real context, so blocking local collectives remain
-/// explorable under the deterministic executor — its hook tracks the
-/// running fiber itself and ignores the context object's identity.
-class LocalCtx final : public ult::TaskContext {
- public:
-  LocalCtx(ult::TaskContext& outer, int local_id) : outer_(&outer) {
-    set_task_id(local_id);
-    set_cpu(outer.cpu());
-    set_schedule_hook(outer.schedule_hook());
-  }
-  void yield() override { outer_->yield(); }
-  bool cooperative() const override { return outer_->cooperative(); }
-
- private:
-  ult::TaskContext* outer_;
-};
 
 }  // namespace
 
@@ -303,284 +285,195 @@ bool ClusterComm::coll_recv(ult::TaskContext& ctx, int g_me, int src_g,
   return true;
 }
 
-bool ClusterComm::leader_fold(ult::TaskContext& ctx, int pos, const View& v,
-                              void* acc, std::size_t count,
-                              std::size_t elem_bytes, const ReduceFn& fn,
-                              int tag) {
-  // Binomial reduce tree in TRUE live-position order (the PR 5 contract
-  // lifted to the leader tier): the lower position of each pair holds the
-  // fold of a contiguous survivor range ending right before its partner's
-  // range, so it applies the partner's partial as the RIGHT operand.
-  // Ascending position is ascending node id, so the result — landing at
-  // live[0]'s leader — is the exact ascending-global-rank fold over the
-  // surviving contributions.
-  const int npos = static_cast<int>(v.live.size());
-  const int g_me = leader_of(v.live[static_cast<std::size_t>(pos)]);
-  const std::size_t bytes = count * elem_bytes;
-  bool ok = true;
-  std::vector<std::byte> partner(bytes);
-  for (int mask = 1; mask < npos; mask <<= 1) {
-    if ((pos & mask) != 0) {
-      const int dst = v.live[static_cast<std::size_t>(pos - mask)];
-      if (!coll_send(ctx, g_me, leader_of(dst), acc, bytes, tag)) {
-        ok = false;
-      }
-      break;
-    }
-    const int src_pos = pos + mask;
-    if (src_pos < npos) {
-      const int src = v.live[static_cast<std::size_t>(src_pos)];
-      if (coll_recv(ctx, g_me, leader_of(src), partner.data(), bytes, tag)) {
-        fn(acc, partner.data(), count);
-      } else {
-        ok = false;
-      }
-    }
+ClusterComm::CollCall ClusterComm::enter(ult::TaskContext& ctx,
+                                         const char* what,
+                                         std::optional<int> root) {
+  if (root && (*root < 0 || *root >= nranks_)) {
+    throw MpiError(std::string(what) + ": bad root " + std::to_string(*root));
   }
-  return ok;
-}
-
-bool ClusterComm::leader_bcast(ult::TaskContext& ctx, int pos, const View& v,
-                               void* buf, std::size_t bytes, int root_pos,
-                               int tag) {
-  // Binomial bcast over virtual positions rotated so root_pos is virtual
-  // 0 (rotation is legal here: bcast has no fold order to preserve).
-  const int npos = static_cast<int>(v.live.size());
-  const int g_me = leader_of(v.live[static_cast<std::size_t>(pos)]);
-  const int vme = (pos - root_pos + npos) % npos;
-  bool ok = true;
-  int mask = 1;
-  while (mask < npos) {
-    if ((vme & mask) != 0) {
-      const int src =
-          v.live[static_cast<std::size_t>((vme - mask + root_pos) % npos)];
-      if (!coll_recv(ctx, g_me, leader_of(src), buf, bytes, tag)) ok = false;
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vme + mask < npos) {
-      const int dst =
-          v.live[static_cast<std::size_t>((vme + mask + root_pos) % npos)];
-      if (!coll_send(ctx, g_me, leader_of(dst), buf, bytes, tag)) ok = false;
-    }
-    mask >>= 1;
-  }
-  return ok;
-}
-
-// ---- hierarchical collectives ----
-
-void ClusterComm::barrier(ult::TaskContext& ctx) {
   const int g = rank(ctx);
   const int node = node_of(g);
   count_coll(g);
-  const auto view = snapshot_view();
+  auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
   const int pos = pos_of(*view, node);
   if (pos < 0) {
-    throw NodeDeadError(node, "cluster barrier: node " +
+    throw NodeDeadError(node, std::string(what) + ": node " +
                                   std::to_string(node) +
                                   " was excluded by shrink");
   }
-  LocalCtx lctx(ctx, local_of(g));
-  Comm& nc = node_comm(node);
-  // The gates themselves provide local arrival and release, so the
-  // barrier body is just the leader dissemination.
-  node_gate(lctx, nc, node, "cluster barrier");
-  if (local_of(g) == 0) {
-    // Leader dissemination over live positions: after ceil(log2 N) rounds
-    // each leader has transitively heard from every live node.
-    const int npos = static_cast<int>(view->live.size());
-    for (int step = 1; step < npos; step <<= 1) {
-      const int dst = view->live[static_cast<std::size_t>(
-          coll::dissemination_dst(pos, step, npos))];
-      const int src = view->live[static_cast<std::size_t>(
-          coll::dissemination_src(pos, step, npos))];
-      coll_send(ctx, g, leader_of(dst), nullptr, 0, tag);
-      coll_recv(ctx, g, leader_of(src), nullptr, 0, tag);
+  int root_pos = -1;
+  if (root) {
+    const int root_node = node_of(*root);
+    root_pos = pos_of(*view, root_node);
+    if (root_pos < 0) {
+      throw NodeDeadError(root_node, std::string(what) + ": root node " +
+                                         std::to_string(root_node) +
+                                         " was excluded by shrink");
     }
   }
-  node_gate(lctx, nc, node, "cluster barrier");
+  const int npos = static_cast<int>(view->live.size());
+  CollCall c{ctx, LocalCtx(ctx, local_of(g)), node_comm(node),
+             std::move(view), what, g, node, local_of(g), pos, npos,
+             root_pos, tag};
+  node_gate(c.lctx, c.nc, node, what);
+  return c;
+}
+
+void ClusterComm::leave(CollCall& c) {
+  node_gate(c.lctx, c.nc, c.node, c.what);
+}
+
+bool ClusterComm::to_leader(const CollCall& c, int p, const void* buf,
+                            std::size_t bytes) {
+  return coll_send(c.ctx, c.g,
+                   leader_of(c.view->live[static_cast<std::size_t>(p)]), buf,
+                   bytes, c.tag);
+}
+
+bool ClusterComm::from_leader(const CollCall& c, int p, void* buf,
+                              std::size_t bytes) {
+  return coll_recv(c.ctx, c.g,
+                   leader_of(c.view->live[static_cast<std::size_t>(p)]), buf,
+                   bytes, c.tag);
+}
+
+// ---- hierarchical collectives ----
+//
+// The leader tier runs the coll_algo.hpp schedules over live positions;
+// ascending position is ascending node id, so the ordered fold lands the
+// exact ascending-global-rank fold at live[0]'s leader. A failed leader
+// exchange is contained (coll_send/coll_recv declare the peer node dead
+// and the schedule pushes on), and the closing gate turns it into one
+// NodeDeadError on every rank of the node.
+
+void ClusterComm::barrier(ult::TaskContext& ctx) {
+  CollCall c = enter(ctx, "cluster barrier", std::nullopt);
+  // The gates themselves provide local arrival and release, so the
+  // barrier body is just the leader dissemination.
+  if (c.local == 0) {
+    coll::dissemination(c.pos, c.npos, [&](int dst, int src) {
+      const bool sent = to_leader(c, dst, nullptr, 0);
+      return from_leader(c, src, nullptr, 0) && sent;
+    });
+  }
+  leave(c);
 }
 
 void ClusterComm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
                         int root) {
-  if (root < 0 || root >= nranks_) {
-    throw MpiError("cluster bcast: bad root " + std::to_string(root));
+  CollCall c = enter(ctx, "cluster bcast", root);
+  // Root's node first shares locally (this is what puts the payload in
+  // the leader's hands), then its leader feeds the leader tier; the other
+  // nodes share what their leader received.
+  const bool root_node = c.node == node_of(root);
+  if (root_node) c.nc.bcast(c.lctx, buf, bytes, local_of(root));
+  if (c.local == 0) {
+    coll::binomial_bcast(
+        c.pos, c.npos, c.root_pos,
+        [&](int p) { return to_leader(c, p, buf, bytes); },
+        [&](int p) { return from_leader(c, p, buf, bytes); });
   }
-  const int g = rank(ctx);
-  const int node = node_of(g);
-  const int root_node = node_of(root);
-  count_coll(g);
-  const auto view = snapshot_view();
-  const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster bcast: node " + std::to_string(node) +
-                                  " was excluded by shrink");
-  }
-  const int root_pos = pos_of(*view, root_node);
-  if (root_pos < 0) {
-    throw NodeDeadError(root_node, "cluster bcast: root node " +
-                                       std::to_string(root_node) +
-                                       " was excluded by shrink");
-  }
-  LocalCtx lctx(ctx, local_of(g));
-  Comm& nc = node_comm(node);
-  node_gate(lctx, nc, node, "cluster bcast");
-  if (node == root_node) {
-    // Root's node first shares locally (this is what puts the payload in
-    // the leader's hands), then its leader feeds the leader tier.
-    nc.bcast(lctx, buf, bytes, local_of(root));
-    if (local_of(g) == 0) {
-      leader_bcast(ctx, pos, *view, buf, bytes, root_pos, tag);
-    }
-  } else {
-    if (local_of(g) == 0) {
-      leader_bcast(ctx, pos, *view, buf, bytes, root_pos, tag);
-    }
-    nc.bcast(lctx, buf, bytes, 0);
-  }
-  node_gate(lctx, nc, node, "cluster bcast");
+  if (!root_node) c.nc.bcast(c.lctx, buf, bytes, 0);
+  leave(c);
 }
 
 void ClusterComm::reduce(ult::TaskContext& ctx, const void* sendbuf,
                          void* recvbuf, std::size_t count,
                          std::size_t elem_bytes, const ReduceFn& fn,
                          int root) {
-  if (root < 0 || root >= nranks_) {
-    throw MpiError("cluster reduce: bad root " + std::to_string(root));
-  }
-  const int g = rank(ctx);
-  const int node = node_of(g);
+  CollCall c = enter(ctx, "cluster reduce", root);
   const std::size_t bytes = count * elem_bytes;
-  count_coll(g);
-  const auto view = snapshot_view();
-  const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster reduce: node " + std::to_string(node) +
-                                  " was excluded by shrink");
-  }
-  if (pos_of(*view, node_of(root)) < 0) {
-    throw NodeDeadError(node_of(root), "cluster reduce: root node " +
-                                           std::to_string(node_of(root)) +
-                                           " was excluded by shrink");
-  }
-  LocalCtx lctx(ctx, local_of(g));
-  Comm& nc = node_comm(node);
-  node_gate(lctx, nc, node, "cluster reduce");
-
   // Local tier: fold the node's contributions (ascending local = ascending
   // global within the node) into the leader's partial.
   std::vector<std::byte> partial;
-  if (local_of(g) == 0) partial.resize(bytes);
-  nc.reduce(lctx, sendbuf, local_of(g) == 0 ? partial.data() : nullptr,
-            count, elem_bytes, fn, 0);
+  if (c.local == 0) partial.resize(bytes);
+  c.nc.reduce(c.lctx, sendbuf, c.local == 0 ? partial.data() : nullptr,
+              count, elem_bytes, fn, 0);
 
-  const int root_leader = leader_of(view->live[0]);
-  if (local_of(g) == 0) {
-    // Leader tier: fold live-node partials to live[0] in true position
-    // order.
-    leader_fold(ctx, pos, *view, partial.data(), count, elem_bytes, fn, tag);
-    if (pos == 0) {
+  const int root_leader = leader_of(c.view->live[0]);
+  if (c.local == 0) {
+    {
+      std::vector<std::byte> incoming(bytes);  // scoped: see allreduce
+      coll::ordered_fold(
+          c.pos, c.npos, partial.data(), incoming.data(), count, fn,
+          [&](int p) { return to_leader(c, p, partial.data(), bytes); },
+          [&](int p) { return from_leader(c, p, incoming.data(), bytes); });
+    }
+    if (c.pos == 0) {
       // Deliver the folded total to the global root.
-      if (g == root) {
+      if (c.g == root) {
         if (bytes > 0) std::memcpy(recvbuf, partial.data(), bytes);
       } else {
-        coll_send(ctx, g, root, partial.data(), bytes, tag);
+        coll_send(ctx, c.g, root, partial.data(), bytes, c.tag);
       }
     }
   }
-  if (g == root && g != root_leader) {
-    coll_recv(ctx, g, root_leader, recvbuf, bytes, tag);
+  if (c.g == root && c.g != root_leader) {
+    coll_recv(ctx, c.g, root_leader, recvbuf, bytes, c.tag);
   }
-  node_gate(lctx, nc, node, "cluster reduce");
+  leave(c);
 }
 
 void ClusterComm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
                             void* recvbuf, std::size_t count,
                             std::size_t elem_bytes, const ReduceFn& fn) {
-  const int g = rank(ctx);
-  const int node = node_of(g);
-  count_coll(g);
-  const auto view = snapshot_view();
-  const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster allreduce: node " +
-                                  std::to_string(node) +
-                                  " was excluded by shrink");
-  }
-  LocalCtx lctx(ctx, local_of(g));
-  Comm& nc = node_comm(node);
-  node_gate(lctx, nc, node, "cluster allreduce");
-
+  CollCall c = enter(ctx, "cluster allreduce", std::nullopt);
+  const std::size_t bytes = count * elem_bytes;
   // Local reduce into the leader's recvbuf, leader fold to live[0],
   // leader bcast of the total, local bcast — reduce+bcast with the
   // leader's recvbuf as the accumulator throughout, so no extra staging
   // buffer.
-  nc.reduce(lctx, sendbuf, local_of(g) == 0 ? recvbuf : nullptr, count,
-            elem_bytes, fn, 0);
-  if (local_of(g) == 0) {
-    leader_fold(ctx, pos, *view, recvbuf, count, elem_bytes, fn, tag);
-    leader_bcast(ctx, pos, *view, recvbuf, count * elem_bytes, 0, tag);
+  c.nc.reduce(c.lctx, sendbuf, c.local == 0 ? recvbuf : nullptr, count,
+              elem_bytes, fn, 0);
+  if (c.local == 0) {
+    {
+      // Scoped to the fold, so it is freed before the bcast allocates
+      // the fabric's wire copies. Kept alive through the bcast, a
+      // 320 KiB allreduce over 8x2 ranks took ~25% longer per step on
+      // a 4-vCPU x86-64 host (perfbench cluster_coll).
+      std::vector<std::byte> incoming(bytes);
+      coll::ordered_fold(
+          c.pos, c.npos, recvbuf, incoming.data(), count, fn,
+          [&](int p) { return to_leader(c, p, recvbuf, bytes); },
+          [&](int p) { return from_leader(c, p, incoming.data(), bytes); });
+    }
+    coll::binomial_bcast(
+        c.pos, c.npos, 0,
+        [&](int p) { return to_leader(c, p, recvbuf, bytes); },
+        [&](int p) { return from_leader(c, p, recvbuf, bytes); });
   }
-  nc.bcast(lctx, recvbuf, count * elem_bytes, 0);
-  node_gate(lctx, nc, node, "cluster allreduce");
+  c.nc.bcast(c.lctx, recvbuf, bytes, 0);
+  leave(c);
 }
 
 void ClusterComm::allgather(ult::TaskContext& ctx, const void* sendbuf,
                             std::size_t bytes, void* recvbuf) {
-  const int g = rank(ctx);
-  const int node = node_of(g);
+  CollCall c = enter(ctx, "cluster allgather", std::nullopt);
   const std::size_t node_block = static_cast<std::size_t>(rpn_) * bytes;
-  count_coll(g);
-  const auto view = snapshot_view();
-  const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster allgather: node " +
-                                  std::to_string(node) +
-                                  " was excluded by shrink");
-  }
-  const int npos = static_cast<int>(view->live.size());
-  LocalCtx lctx(ctx, local_of(g));
-  Comm& nc = node_comm(node);
-  node_gate(lctx, nc, node, "cluster allgather");
-
   auto* out = static_cast<std::byte*>(recvbuf);
+  auto* mine = out + static_cast<std::size_t>(c.pos) * node_block;
   // Local tier: the leader gathers its node's block in place, at the
   // node's POSITION slot of the live-rank-ordered result (dead nodes
   // leave no gap — the output is compacted by survivor position).
-  nc.gather(lctx, sendbuf, bytes,
-            local_of(g) == 0
-                ? out + static_cast<std::size_t>(pos) * node_block
-                : nullptr,
-            0);
-  if (local_of(g) == 0 && npos > 1) {
+  c.nc.gather(c.lctx, sendbuf, bytes, c.local == 0 ? mine : nullptr, 0);
+  if (c.local == 0 && c.npos > 1) {
     // Leader tier: linear block exchange. Fabric sends complete
     // immediately (always-copy), so send-all-then-receive-all cannot
     // deadlock.
-    for (int p = 0; p < npos; ++p) {
-      if (p == pos) continue;
-      coll_send(ctx, g, leader_of(view->live[static_cast<std::size_t>(p)]),
-                out + static_cast<std::size_t>(pos) * node_block, node_block,
-                tag);
+    for (int p = 0; p < c.npos; ++p) {
+      if (p != c.pos) to_leader(c, p, mine, node_block);
     }
-    for (int p = 0; p < npos; ++p) {
-      if (p == pos) continue;
-      coll_recv(ctx, g, leader_of(view->live[static_cast<std::size_t>(p)]),
-                out + static_cast<std::size_t>(p) * node_block, node_block,
-                tag);
+    for (int p = 0; p < c.npos; ++p) {
+      if (p == c.pos) continue;
+      from_leader(c, p, out + static_cast<std::size_t>(p) * node_block,
+                  node_block);
     }
   }
   // Local tier: share the assembled result.
-  nc.bcast(lctx, recvbuf, static_cast<std::size_t>(npos) * node_block, 0);
-  node_gate(lctx, nc, node, "cluster allgather");
+  c.nc.bcast(c.lctx, recvbuf, static_cast<std::size_t>(c.npos) * node_block,
+             0);
+  leave(c);
 }
 
 // ---- shrink and recover ----

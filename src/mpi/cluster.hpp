@@ -19,13 +19,10 @@
 // GLOBAL rank order with the accumulator as the left operand. Node-major
 // rank order factors that fold exactly: the local tier produces per-node
 // partials P_n = v_{nR} (+) ... (+) v_{nR+R-1} in local rank order, and
-// the leader tier folds the partials of the LIVE nodes in ascending node
-// order (binomial tree in true survivor-position order: the lower
-// position applies the higher partner's partial as the RIGHT operand).
-// Associativity is all that regrouping needs — commutativity is never
-// required. The contract survives shrinking because ascending position in
-// the live view IS ascending node id, so the fold over survivors is the
-// exact ascending-global-rank fold over surviving contributions.
+// the leader tier folds the partials of the LIVE nodes with
+// coll::ordered_fold (coll_algo.hpp holds the order argument). It
+// survives shrinking because ascending position in the live view IS
+// ascending node id.
 //
 // Dead-node supervision and recovery (PR 9): the communicator carries a
 // LIVE VIEW — the ascending list of member nodes plus an epoch — and
@@ -54,6 +51,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "mpi/retry.hpp"
@@ -239,17 +237,54 @@ class ClusterComm {
                  std::size_t bytes, int tag);
   bool coll_recv(ult::TaskContext& ctx, int g_me, int src_g, void* buf,
                  std::size_t capacity, int tag);
-  /// Leader-tier binomial fold over the view's live positions (ascending
-  /// position = ascending node), result at live[0]'s leader; `acc` is the
-  /// caller's node partial, overwritten with the folded prefix at
-  /// receiving nodes. Returns false on containment.
-  bool leader_fold(ult::TaskContext& ctx, int pos, const View& v, void* acc,
-                   std::size_t count, std::size_t elem_bytes,
-                   const ReduceFn& fn, int tag);
-  /// Leader-tier binomial bcast rooted at live position `root_pos`
-  /// (virtual-position rotation).
-  bool leader_bcast(ult::TaskContext& ctx, int pos, const View& v, void* buf,
-                    std::size_t bytes, int root_pos, int tag);
+  /// Per-call view of a cluster-global task as a node-local one:
+  /// node-level Comm calls derive the rank from ctx.task_id(), which must
+  /// be the LOCAL id there. Scheduling behaviour (yield, cooperativeness,
+  /// schedule hook) forwards to the real context, so blocking local
+  /// collectives remain explorable under the deterministic executor — its
+  /// hook tracks the running fiber itself and ignores the context object's
+  /// identity.
+  class LocalCtx final : public ult::TaskContext {
+   public:
+    LocalCtx(ult::TaskContext& outer, int local_id) : outer_(&outer) {
+      set_task_id(local_id);
+      set_cpu(outer.cpu());
+      set_schedule_hook(outer.schedule_hook());
+    }
+    void yield() override { outer_->yield(); }
+    bool cooperative() const override { return outer_->cooperative(); }
+
+   private:
+    ult::TaskContext* outer_;
+  };
+  /// A hierarchical collective that enter() has admitted.
+  struct CollCall {
+    ult::TaskContext& ctx;             // the caller's global context
+    LocalCtx lctx;                     // the same task as a local rank
+    Comm& nc;                          // the node's communicator
+    std::shared_ptr<const View> view;  // membership snapshot at entry
+    const char* what;                  // error prefix ("cluster bcast")
+    int g;                             // global rank
+    int node;
+    int local;     // local rank; 0 is the node's leader
+    int pos;       // the node's live position
+    int npos;      // live nodes
+    int root_pos;  // root node's live position (-1: unrooted)
+    int tag;
+  };
+  /// The one entry path of barrier/bcast/reduce/allreduce/allgather:
+  /// bad-root MpiError, collective count, view snapshot, tag, own node and
+  /// root node exclusion checks, then the opening node gate. `what`
+  /// ("cluster bcast") prefixes every error.
+  CollCall enter(ult::TaskContext& ctx, const char* what,
+                 std::optional<int> root);
+  /// The closing node gate of a collective enter() admitted.
+  void leave(CollCall& c);
+  /// Leader-tier endpoint of the coll_algo.hpp schedules: exchange `buf`
+  /// with the leader of live position `p` over coll_send / coll_recv.
+  bool to_leader(const CollCall& c, int p, const void* buf,
+                 std::size_t bytes);
+  bool from_leader(const CollCall& c, int p, void* buf, std::size_t bytes);
   /// Fresh tag for the caller's next collective, namespaced by the view
   /// epoch (all ranks enter collectives in the same order and epochs
   /// change only at collectives' edges, so per-rank counters agree and

@@ -7,8 +7,8 @@
 // gather/gatherv/scatter, which keep their posted-receive form). They run
 // in a dedicated context so they can never match application
 // point-to-point traffic, and target intra-node scale (<= a few dozen
-// ranks): dissemination barrier, binomial bcast/reduce, linear
-// gather/scatter, chain scan.
+// ranks): dissemination barrier and binomial bcast/reduce (schedules in
+// coll_algo.hpp), linear gather/scatter, chain scan.
 #include <cstring>
 #include <vector>
 
@@ -98,16 +98,13 @@ void Comm::barrier(ult::TaskContext& ctx) {
     shm_->barrier(ctx, me);
     return;
   }
-  // Dissemination: after ceil(log2 n) rounds every rank has transitively
-  // heard from every other rank.
-  for (int step = 1; step < n; step <<= 1) {
-    const int dst = coll::dissemination_dst(me, step, n);
-    const int src = coll::dissemination_src(me, step, n);
+  coll::dissemination(me, n, [&](int dst, int src) {
     Request r = irecv_ctx(ctx, nullptr, 0, src, tag, coll_context_);
     Request s = isend_ctx(ctx, nullptr, 0, dst, tag, coll_context_);
     wait(ctx, s);
     wait(ctx, r);
-  }
+    return true;
+  });
 }
 
 void Comm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
@@ -123,26 +120,16 @@ void Comm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
     shm_->bcast(ctx, me, buf, bytes, root);
     return;
   }
-  const int vr = (me - root + n) % n;  // rank relative to root
-
-  // Binomial tree: receive from the parent, then forward to children.
-  int mask = 1;
-  while (mask < n) {
-    if (vr & mask) {
-      const int parent = (vr - mask + root) % n;
-      recv_ctx(ctx, buf, bytes, parent, tag, coll_context_, nullptr);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vr + mask < n) {
-      const int child = (vr + mask + root) % n;
-      send_ctx(ctx, buf, bytes, child, tag, coll_context_);
-    }
-    mask >>= 1;
-  }
+  coll::binomial_bcast(
+      me, n, root,
+      [&](int child) {
+        send_ctx(ctx, buf, bytes, child, tag, coll_context_);
+        return true;
+      },
+      [&](int parent) {
+        recv_ctx(ctx, buf, bytes, parent, tag, coll_context_, nullptr);
+        return true;
+      });
 }
 
 void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
@@ -173,27 +160,20 @@ void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
   }
   if (bytes > 0 && acc != sendbuf) std::memcpy(acc, sendbuf, bytes);
 
-  // Binomial tree in TRUE rank order: pairs fold the higher rank's partial
-  // into the lower rank's accumulator as the right operand, so rank 0 ends
-  // with v_0 (+) v_1 (+) ... (+) v_{n-1}. (Rotating the tree around the
-  // root — the previous scheme — folds v_root (+) ... (+) v_{n-1} (+) v_0
-  // (+) ..., which is wrong for non-commutative operators.) When root != 0
-  // the result takes one extra hop from rank 0 to the root.
+  // Ordered binomial fold to rank 0 (coll_algo.hpp); when root != 0 the
+  // result takes one extra hop from rank 0 to the root.
   std::vector<std::byte> incoming(bytes);
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if ((me & mask) == 0) {
-      const int partner = me | mask;
-      if (partner < n) {
+  coll::ordered_fold(
+      me, n, acc, incoming.data(), count, fn,
+      [&](int parent) {
+        send_ctx(ctx, acc, bytes, parent, tag, coll_context_);
+        return true;
+      },
+      [&](int partner) {
         recv_ctx(ctx, incoming.data(), bytes, partner, tag, coll_context_,
                  nullptr);
-        fn(acc, incoming.data(), count);
-      }
-    } else {
-      const int parent = me & ~mask;
-      send_ctx(ctx, acc, bytes, parent, tag, coll_context_);
-      break;
-    }
-  }
+        return true;
+      });
   if (root != 0) {
     // Distinct (src, tag) from every tree message arriving at these two
     // ranks: rank 0 never sends inside the tree and the root's tree

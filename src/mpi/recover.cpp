@@ -3,6 +3,8 @@
 #include <cstring>
 #include <string>
 
+#include "mpi/coll_algo.hpp"
+
 namespace hlsmpc::mpi::recover {
 
 namespace {
@@ -251,53 +253,30 @@ void survivor_allreduce(ult::TaskContext& ctx, RecoveryChannel& ch,
   }
   const std::size_t bytes = count * elem_bytes;
   std::vector<std::byte> partner(bytes);
-
-  // Binomial fold to live[0] in TRUE position order: ascending position is
-  // ascending node id, so the lower member of each pair holds the fold of
-  // a contiguous survivor range ending right before its partner's range
-  // and applies the partner's partial as the RIGHT operand — the exact
-  // ascending fold, associativity only.
-  for (int step = 1; step < npos; step <<= 1) {
-    if ((pos & step) != 0) {
-      const int dst = live[static_cast<std::size_t>(pos - step)];
-      if (!ch.send(ctx, dst, buf, bytes, tag)) {
-        channel_sendrecv_fail("send to", dst);
-      }
-      break;
+  const auto send_to = [&](int p, int t) {
+    const int dst = live[static_cast<std::size_t>(p)];
+    if (!ch.send(ctx, dst, buf, bytes, t)) {
+      channel_sendrecv_fail("send to", dst);
     }
-    if (pos + step < npos) {
-      const int src = live[static_cast<std::size_t>(pos + step)];
-      if (ch.recv(ctx, src, partner.data(), bytes, tag, timeout) !=
-          RecoveryChannel::RecvResult::ok) {
-        channel_sendrecv_fail("recv from", src);
-      }
-      fn(buf, partner.data(), count);
+    return true;
+  };
+  const auto recv_from = [&](int p, void* into, int t) {
+    const int src = live[static_cast<std::size_t>(p)];
+    if (ch.recv(ctx, src, into, bytes, t, timeout) !=
+        RecoveryChannel::RecvResult::ok) {
+      channel_sendrecv_fail("recv from", src);
     }
-  }
-
-  // Binomial bcast of the fold from position 0 (no rotation needed).
-  int step = 1;
-  while (step < npos) {
-    if ((pos & step) != 0) {
-      const int src = live[static_cast<std::size_t>(pos - step)];
-      if (ch.recv(ctx, src, buf, bytes, tag + 1, timeout) !=
-          RecoveryChannel::RecvResult::ok) {
-        channel_sendrecv_fail("recv from", src);
-      }
-      break;
-    }
-    step <<= 1;
-  }
-  step >>= 1;
-  while (step > 0) {
-    if (pos + step < npos) {
-      const int dst = live[static_cast<std::size_t>(pos + step)];
-      if (!ch.send(ctx, dst, buf, bytes, tag + 1)) {
-        channel_sendrecv_fail("send to", dst);
-      }
-    }
-    step >>= 1;
-  }
+    return true;
+  };
+  // Ordered fold to live[0] (coll_algo.hpp; ascending position is
+  // ascending node id), then a bcast of the total back on tag + 1.
+  coll::ordered_fold(
+      pos, npos, buf, partner.data(), count, fn,
+      [&](int p) { return send_to(p, tag); },
+      [&](int p) { return recv_from(p, partner.data(), tag); });
+  coll::binomial_bcast(
+      pos, npos, 0, [&](int p) { return send_to(p, tag + 1); },
+      [&](int p) { return recv_from(p, buf, tag + 1); });
 }
 
 }  // namespace hlsmpc::mpi::recover

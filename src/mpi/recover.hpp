@@ -153,11 +153,11 @@ ShrinkDecision shrink_agree(ult::TaskContext& ctx, RecoveryChannel& ch,
                             const ShrinkConfig& cfg);
 
 /// Non-hierarchical allreduce among surviving nodes over a recovery
-/// channel (binomial fold in ascending position order — live[0] holds the
-/// exact ascending fold, only associativity required — then binomial
-/// bcast back). One caller per live node; used to validate a shrunken
-/// membership end-to-end where no ClusterComm exists (the TCP mesh).
-/// Throws MpiError when a survivor fails mid-collective.
+/// channel: coll::ordered_fold to live[0] (exact ascending fold; see
+/// coll_algo.hpp), then coll::binomial_bcast back. One caller per live
+/// node; used to validate a shrunken membership end-to-end where no
+/// ClusterComm exists (the TCP mesh). Throws MpiError when a survivor
+/// fails mid-collective.
 void survivor_allreduce(ult::TaskContext& ctx, RecoveryChannel& ch,
                         int me_node, const std::vector<int>& live, void* buf,
                         std::size_t count, std::size_t elem_bytes,

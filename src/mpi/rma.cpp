@@ -179,8 +179,8 @@ void Win::accumulate(ult::TaskContext& ctx, int me, const void* src,
 void Win::fence(ult::TaskContext& ctx, int me) {
   check_me(me, "Win::fence");
   ctx.sync_point("rma:fence");
-  std::uint64_t t0 = 0;
 #if HLSMPC_OBS_ENABLED
+  std::uint64_t t0 = 0;
   if (opts_.obs != nullptr) t0 = opts_.obs->now();
 #endif
   Slot& mine = slots_[static_cast<std::size_t>(me)];

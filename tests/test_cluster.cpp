@@ -2,7 +2,7 @@
 //
 // The load-bearing checks:
 //  - the non-commutative 2x2-matrix-over-Z1009 sweep (test_coll.cpp's
-//    vocabulary) over 2..4 nodes x several ranks per node, thread and
+//    vocabulary) over 2..5 nodes x several ranks per node, thread and
 //    fiber executors: hierarchical reduce/allreduce must fold in
 //    ascending GLOBAL rank order even though the fold is factored into a
 //    local tier and a leader tier;
@@ -129,7 +129,8 @@ INSTANTIATE_TEST_SUITE_P(
                     Param{4, 4, mpi::ExecutorKind::thread},
                     Param{3, 1, mpi::ExecutorKind::thread},
                     Param{2, 4, mpi::ExecutorKind::fiber},
-                    Param{4, 2, mpi::ExecutorKind::fiber}),
+                    Param{4, 2, mpi::ExecutorKind::fiber},
+                    Param{5, 2, mpi::ExecutorKind::fiber}),
     param_name);
 
 TEST(ClusterTopology, NodeMajorRankMapping) {
@@ -231,6 +232,59 @@ TEST_P(ClusterParam, BarrierSeparatesPhases) {
   EXPECT_EQ(ok.load(), nranks_);
 }
 
+TEST_P(ClusterParam, LeaderTierMessageCounts) {
+  // Pins the leader tier's fabric traffic per call for N live nodes:
+  // ordered fold + bcast (allreduce), binomial bcast, ceil(log2 N)
+  // dissemination rounds per leader (barrier), linear exchange
+  // (allgather), and fold + one delivery hop (reduce to a root other
+  // than rank 0). The local tier never touches the fabric.
+  const int nn = cluster_.nnodes();
+  int rounds = 0;
+  while ((1 << rounds) < nn) ++rounds;
+  const auto messages = [&](const mpi::SimCluster::Body& body) {
+    const std::uint64_t m0 = cluster_.fabric().stats().messages.load();
+    cluster_.run(body);
+    return cluster_.fabric().stats().messages.load() - m0;
+  };
+  const auto count = [](int v) { return static_cast<std::uint64_t>(v); };
+  const mpi::ReduceFn fn = mat_fn();
+
+  EXPECT_EQ(messages([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+              const std::vector<Mat> in = make_contrib(comm.rank(ctx), 4);
+              std::vector<Mat> out(4);
+              comm.allreduce(ctx, in.data(), out.data(), 4, sizeof(Mat), fn);
+            }),
+            count(2 * (nn - 1)))
+      << "allreduce";
+  EXPECT_EQ(messages([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+              std::vector<Mat> buf(4);
+              comm.bcast(ctx, buf.data(), 4 * sizeof(Mat), nranks_ - 1);
+            }),
+            count(nn - 1))
+      << "bcast";
+  EXPECT_EQ(messages([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+              comm.barrier(ctx);
+            }),
+            count(nn * rounds))
+      << "barrier";
+  EXPECT_EQ(messages([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+              const std::vector<Mat> in = make_contrib(comm.rank(ctx), 2);
+              std::vector<Mat> out(2 * static_cast<std::size_t>(nranks_));
+              comm.allgather(ctx, in.data(), 2 * sizeof(Mat), out.data());
+            }),
+            count(nn * (nn - 1)))
+      << "allgather";
+  EXPECT_EQ(messages([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+              const int g = comm.rank(ctx);
+              const std::vector<Mat> in = make_contrib(g, 4);
+              std::vector<Mat> out(4);
+              comm.reduce(ctx, in.data(), out.data(), 4, sizeof(Mat), fn,
+                          nranks_ - 1);
+            }),
+            count(nn))
+      << "reduce to the last rank";
+}
+
 TEST_P(ClusterParam, GlobalPointToPointRing) {
   std::atomic<int> ok{0};
   cluster_.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
@@ -258,14 +312,18 @@ TEST(Cluster, ObsCountsCollectivesAndFabricTraffic) {
   o.ranks_per_node = 4;
   o.obs = &rec;
   mpi::SimCluster cluster(o);
+  std::atomic<int> summed{0};
   cluster.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
     int v = 1, out = 0;
     comm.allreduce(ctx, &v, &out, 1, sizeof(int),
                    [](void* a, const void* b, std::size_t) {
                      *static_cast<int*>(a) += *static_cast<const int*>(b);
                    });
+    if (out == 8) summed.fetch_add(1);
   });
+  EXPECT_EQ(summed.load(), 8);
   const obs::Snapshot s = rec.snapshot();
+#if HLSMPC_OBS_ENABLED
   // Every rank entered one cluster collective; only leaders (ranks 0 and
   // 4) touched the fabric.
   EXPECT_EQ(s.total.c[static_cast<int>(obs::Counter::coll_ops)], 8u);
@@ -277,6 +335,13 @@ TEST(Cluster, ObsCountsCollectivesAndFabricTraffic) {
               0u)
         << "non-leader rank " << g << " must not touch the fabric";
   }
+#else
+  // Compiled out: the recorder is inert, every counter stays 0.
+  for (std::uint64_t v : s.total.c) EXPECT_EQ(v, 0u);
+  for (const auto& t : s.tasks) {
+    for (std::uint64_t v : t.c) EXPECT_EQ(v, 0u);
+  }
+#endif
 }
 
 // ---- deterministic exploration of the leader exchange ----

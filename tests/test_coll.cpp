@@ -12,13 +12,18 @@
 // p2p paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "check/deterministic_executor.hpp"
@@ -163,6 +168,208 @@ TEST(CollAlgo, DisseminationPeersAreExactMirrors) {
         EXPECT_EQ(mpi::coll::dissemination_dst(src, step, n), me);
       }
     }
+  }
+}
+
+namespace {
+
+/// In-memory endpoint for driving the coll_algo.hpp schedules without a
+/// runtime: one FIFO per (src, dst) pair of positions, blocking receive,
+/// and a per-position send count.
+class Mailboxes {
+ public:
+  explicit Mailboxes(int n)
+      : n_(n),
+        q_(static_cast<std::size_t>(n * n)),
+        sent_(static_cast<std::size_t>(n), 0) {}
+
+  bool send(int src, int dst, const void* buf, std::size_t bytes) {
+    const auto* b = static_cast<const std::byte*>(buf);
+    std::lock_guard<std::mutex> lk(mu_);
+    q_[idx(src, dst)].emplace_back(b, b + bytes);
+    ++sent_[static_cast<std::size_t>(src)];
+    cv_.notify_all();
+    return true;
+  }
+  bool recv(int src, int dst, void* buf, std::size_t bytes) {
+    std::unique_lock<std::mutex> lk(mu_);
+    auto& q = q_[idx(src, dst)];
+    cv_.wait(lk, [&] { return !q.empty(); });
+    const bool fits = q.front().size() == bytes;
+    if (fits && bytes > 0) std::memcpy(buf, q.front().data(), bytes);
+    q.pop_front();
+    return fits;
+  }
+  int sent(int pos) const { return sent_[static_cast<std::size_t>(pos)]; }
+  bool drained() const {
+    for (const auto& q : q_) {
+      if (!q.empty()) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::size_t idx(int src, int dst) const {
+    return static_cast<std::size_t>(src * n_ + dst);
+  }
+  int n_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::deque<std::vector<std::byte>>> q_;
+  std::vector<int> sent_;
+};
+
+/// Runs body(pos) on one thread per position of [0, n).
+template <typename Body>
+void on_positions(int n, Body body) {
+  std::vector<std::thread> ts;
+  for (int p = 0; p < n; ++p) ts.emplace_back([&body, p] { body(p); });
+  for (auto& t : ts) t.join();
+}
+
+}  // namespace
+
+TEST(CollAlgo, OrderedFoldIsTheAscendingFoldAtEverySize) {
+  constexpr std::size_t kCount = 3;
+  constexpr std::size_t kBytes = kCount * sizeof(Mat);
+  for (int n = 1; n <= 64; ++n) {
+    Mailboxes mb(n);
+    std::vector<std::vector<Mat>> acc(static_cast<std::size_t>(n));
+    std::atomic<int> not_ok{0};
+    on_positions(n, [&](int pos) {
+      std::vector<Mat>& mine = acc[static_cast<std::size_t>(pos)];
+      mine = make_contrib(pos, kCount);
+      std::vector<Mat> scratch(kCount);
+      const bool ok = mpi::coll::ordered_fold(
+          pos, n, mine.data(), scratch.data(), kCount, mat_fn(),
+          [&](int peer) { return mb.send(pos, peer, mine.data(), kBytes); },
+          [&](int peer) {
+            return mb.recv(peer, pos, scratch.data(), kBytes);
+          });
+      if (!ok) ++not_ok;
+    });
+    EXPECT_EQ(not_ok.load(), 0) << "n=" << n;
+    EXPECT_EQ(acc[0], reference(n - 1, kCount)) << "n=" << n;
+    EXPECT_EQ(mb.sent(0), 0) << "n=" << n;
+    for (int p = 1; p < n; ++p) {
+      EXPECT_EQ(mb.sent(p), 1) << "n=" << n << " pos=" << p;
+    }
+    EXPECT_TRUE(mb.drained()) << "n=" << n;
+  }
+}
+
+TEST(CollAlgo, BinomialBcastReachesEveryPositionFromEveryRoot) {
+  constexpr std::size_t kCount = 3;
+  constexpr std::size_t kBytes = kCount * sizeof(Mat);
+  for (int n = 1; n <= 64; ++n) {
+    std::vector<int> roots;
+    if (n <= 16) {
+      roots.resize(static_cast<std::size_t>(n));
+      std::iota(roots.begin(), roots.end(), 0);
+    } else {
+      roots = {0, n / 2, n - 1};
+    }
+    for (int root : roots) {
+      Mailboxes mb(n);
+      const std::vector<Mat> payload = make_contrib(1000 + root, kCount);
+      std::vector<std::vector<Mat>> buf(static_cast<std::size_t>(n));
+      std::atomic<int> not_ok{0};
+      on_positions(n, [&](int pos) {
+        std::vector<Mat>& mine = buf[static_cast<std::size_t>(pos)];
+        mine = pos == root ? payload : std::vector<Mat>(kCount);
+        const bool ok = mpi::coll::binomial_bcast(
+            pos, n, root,
+            [&](int peer) { return mb.send(pos, peer, mine.data(), kBytes); },
+            [&](int peer) { return mb.recv(peer, pos, mine.data(), kBytes); });
+        if (!ok) ++not_ok;
+      });
+      EXPECT_EQ(not_ok.load(), 0) << "n=" << n << " root=" << root;
+      int sends = 0;
+      for (int p = 0; p < n; ++p) {
+        EXPECT_EQ(buf[static_cast<std::size_t>(p)], payload)
+            << "n=" << n << " root=" << root << " pos=" << p;
+        sends += mb.sent(p);
+      }
+      EXPECT_EQ(sends, n - 1) << "n=" << n << " root=" << root;
+      EXPECT_TRUE(mb.drained()) << "n=" << n << " root=" << root;
+    }
+  }
+}
+
+TEST(CollAlgo, FailedExchangeIsSkippedRecordedAndPushedPast) {
+  // The containment contract: a failed receive skips its fold but the
+  // schedule keeps going, and the result reports not-ok. Position 0 of 8
+  // hears from 1, 2 and 4 (ranges [1], [2,3], [4,7]); dropping 2 leaves
+  // v_0 v_1 v_4..v_7.
+  constexpr std::size_t kCount = 2;
+  std::vector<Mat> acc = make_contrib(0, kCount);
+  std::vector<Mat> scratch(kCount);
+  std::vector<int> heard;
+  const auto range = [&](int lo, int hi) {
+    std::vector<Mat> r = make_contrib(lo, kCount);
+    for (int q = lo + 1; q <= hi; ++q) {
+      for (std::size_t i = 0; i < kCount; ++i) r[i] = mul(r[i], contrib(q, i));
+    }
+    return r;
+  };
+  const bool ok = mpi::coll::ordered_fold(
+      0, 8, acc.data(), scratch.data(), kCount, mat_fn(),
+      [](int) { return true; },
+      [&](int peer) {
+        heard.push_back(peer);
+        const std::vector<Mat> partial = range(peer, 2 * peer - 1);
+        std::copy(partial.begin(), partial.end(), scratch.begin());
+        return peer != 2;
+      });
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(heard, (std::vector<int>{1, 2, 4}));
+  std::vector<Mat> want = range(0, 1);
+  const std::vector<Mat> tail = range(4, 7);
+  for (std::size_t i = 0; i < kCount; ++i) want[i] = mul(want[i], tail[i]);
+  EXPECT_EQ(acc, want);
+
+  // bcast: a failed receive from the parent still forwards to the
+  // children (they must not be stranded) and reports not-ok.
+  std::vector<int> sent_to;
+  const bool bok = mpi::coll::binomial_bcast(
+      2, 8, 0,
+      [&](int peer) {
+        sent_to.push_back(peer);
+        return true;
+      },
+      [](int) { return false; });
+  EXPECT_FALSE(bok);
+  EXPECT_EQ(sent_to, (std::vector<int>{3}));
+}
+
+TEST(CollP2pTraffic, AllreduceAndBarrierMessageCounts) {
+  // Pins the p2p schedules' traffic: with the shm engine off, allreduce
+  // is a binomial reduce plus a binomial bcast (n-1 messages each) and
+  // the barrier is ceil(log2 n) dissemination rounds per rank.
+  topo::Machine m = topo::Machine::nehalem_ex(2);
+  for (int n : {2, 3, 5, 8, 13}) {
+    mpi::Options o;
+    o.nranks = n;
+    o.coll.enable_shm = false;
+    mpi::Runtime rt(m, o);
+    int rounds = 0;
+    while ((1 << rounds) < n) ++rounds;
+
+    std::uint64_t m0 = rt.stats().messages.load();
+    rt.run([&](mpi::Comm& world, TaskContext& ctx) {
+      const std::vector<Mat> in = make_contrib(world.rank(ctx), 4);
+      std::vector<Mat> out(4);
+      world.allreduce(ctx, in.data(), out.data(), 4, sizeof(Mat), mat_fn());
+    });
+    EXPECT_EQ(rt.stats().messages.load() - m0,
+              static_cast<std::uint64_t>(2 * (n - 1)))
+        << "allreduce n=" << n;
+
+    m0 = rt.stats().messages.load();
+    rt.run([&](mpi::Comm& world, TaskContext& ctx) { world.barrier(ctx); });
+    EXPECT_EQ(rt.stats().messages.load() - m0,
+              static_cast<std::uint64_t>(n * rounds))
+        << "barrier n=" << n;
   }
 }
 

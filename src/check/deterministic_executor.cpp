@@ -94,10 +94,13 @@ void DeterministicExecutor::on_sync_point(ult::TaskContext&, const char*) {
 }
 
 void DeterministicExecutor::run(
-    int n, const std::vector<int>& pins,
+    int n, const std::vector<int>& pins, const std::vector<int>& workers,
     const std::function<void(ult::TaskContext&)>& body) {
   if (static_cast<int>(pins.size()) != n) {
     throw std::invalid_argument("DeterministicExecutor: pins.size() != n");
+  }
+  if (static_cast<int>(workers.size()) != n) {
+    throw std::invalid_argument("DeterministicExecutor: workers.size() != n");
   }
   trace_.picks.clear();
   steps_ = 0;

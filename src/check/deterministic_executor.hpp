@@ -112,7 +112,10 @@ class DeterministicExecutor final : public ult::Executor,
                                  std::size_t stack_bytes = 256 * 1024)
       : policy_(&policy), max_steps_(max_steps), stack_bytes_(stack_bytes) {}
 
+  /// One kernel thread for every task: `workers` is size-checked only.
+  using ult::Executor::run;
   void run(int n, const std::vector<int>& pins,
+           const std::vector<int>& workers,
            const std::function<void(ult::TaskContext&)>& body) override;
   const char* name() const override { return "deterministic"; }
 

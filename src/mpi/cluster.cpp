@@ -115,14 +115,20 @@ void SimCluster::respawn(int node) {
 void SimCluster::run(const Body& body) { run_on(*executor_, body); }
 
 void SimCluster::run_on(ult::Executor& exec, const Body& body) {
+  // Node-local cpus, local-major workers (leaders first): cluster.hpp,
+  // "Placement".
   const int n = nranks();
   std::vector<int> pins(static_cast<std::size_t>(n));
+  std::vector<int> workers(static_cast<std::size_t>(n));
   for (int g = 0; g < n; ++g) {
+    const int node = g / opts_.ranks_per_node;
+    const int local = g % opts_.ranks_per_node;
     pins[static_cast<std::size_t>(g)] =
-        nodes_[static_cast<std::size_t>(g / opts_.ranks_per_node)]
-            ->cpu_of_rank(g % opts_.ranks_per_node);
+        nodes_[static_cast<std::size_t>(node)]->cpu_of_rank(local);
+    workers[static_cast<std::size_t>(g)] = local * opts_.nnodes + node;
   }
-  exec.run(n, pins, [&](ult::TaskContext& ctx) { body(*comm_, ctx); });
+  exec.run(n, pins, workers,
+           [&](ult::TaskContext& ctx) { body(*comm_, ctx); });
 }
 
 // ---------------------------------------------------------------------------
@@ -430,8 +436,10 @@ void ClusterComm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
     {
       // Scoped to the fold, so it is freed before the bcast allocates
       // the fabric's wire copies. Kept alive through the bcast, a
-      // 320 KiB allreduce over 8x2 ranks took ~25% longer per step on
-      // a 4-vCPU x86-64 host (perfbench cluster_coll).
+      // 320 KiB allreduce over 8x2 ranks took ~25% longer per step when
+      // all 8 leaders shared one fiber worker; with the leaders spread
+      // over 4 workers the two measure the same (perfbench
+      // cluster_coll, 4-vCPU x86-64 host).
       std::vector<std::byte> incoming(bytes);
       coll::ordered_fold(
           c.pos, c.npos, recvbuf, incoming.data(), count, fn,

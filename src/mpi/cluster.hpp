@@ -15,6 +15,15 @@
 // never called — the cluster drives one executor with nranks() tasks and
 // hands each a per-call local context when it enters node-level calls.
 //
+// Placement: each task gets a cpu and a fiber worker. The cpu stays
+// node-local (node_runtime(node).cpu_of_rank(local)), so HLS scopes,
+// TaskContext::cpu() and obs events read as on a real node. The worker
+// is local * nnodes + node (modulo the worker count): every simulated
+// node is separate hardware, so the leaders are dealt out first, one per
+// worker, and the leader tier runs in parallel instead of sharing the
+// worker of cpu 0. Only the carrying kernel thread changes, never the
+// traffic.
+//
 // Fold-order contract (comm.hpp): contributions combine in ascending
 // GLOBAL rank order with the accumulator as the left operand. Node-major
 // rank order factors that fold exactly: the local tier produces per-node

@@ -129,9 +129,13 @@ void Scheduler::worker_loop(int index) {
 }
 
 void ThreadExecutor::run(int n, const std::vector<int>& pins,
+                         const std::vector<int>& workers,
                          const std::function<void(TaskContext&)>& body) {
   if (static_cast<int>(pins.size()) != n) {
     throw std::invalid_argument("ThreadExecutor: pins.size() != n");
+  }
+  if (static_cast<int>(workers.size()) != n) {
+    throw std::invalid_argument("ThreadExecutor: workers.size() != n");
   }
   std::vector<std::thread> threads;
   std::mutex error_mu;
@@ -155,17 +159,21 @@ void ThreadExecutor::run(int n, const std::vector<int>& pins,
 }
 
 void FiberExecutor::run(int n, const std::vector<int>& pins,
+                        const std::vector<int>& workers,
                         const std::function<void(TaskContext&)>& body) {
   if (static_cast<int>(pins.size()) != n) {
     throw std::invalid_argument("FiberExecutor: pins.size() != n");
+  }
+  if (static_cast<int>(workers.size()) != n) {
+    throw std::invalid_argument("FiberExecutor: workers.size() != n");
   }
   Scheduler sched(num_workers_);
 #if HLSMPC_OBS_ENABLED
   sched.set_obs(obs_);
 #endif
   for (int i = 0; i < n; ++i) {
-    const int cpu = pins[static_cast<std::size_t>(i)];
-    sched.spawn(cpu % num_workers_, i, cpu,
+    const auto k = static_cast<std::size_t>(i);
+    sched.spawn(workers[k] % num_workers_, i, pins[k],
                 [&body](FiberTaskContext& ctx) { body(ctx); }, stack_bytes_);
   }
   sched.run();

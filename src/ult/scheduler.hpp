@@ -94,31 +94,47 @@ class Scheduler {
   std::exception_ptr first_error_;
 };
 
-/// Runs `n` task bodies to completion; pins[i] is the hardware thread of
-/// task i (drives HLS scope resolution and, in fiber mode, the worker).
+/// Runs `n` task bodies to completion. pins[i] is the cpu of task i: the
+/// topology index behind HLS scope resolution, TaskContext::cpu() and
+/// obs events. workers[i] is the kernel thread that carries task i,
+/// folded modulo the executor's worker count; only FiberExecutor has
+/// workers to choose from, the others check its size and ignore it.
+/// The 3-argument form places each task on the worker of its cpu
+/// (workers = pins), matching MPC's task-per-core placement; a caller
+/// whose cpus repeat across independent hardware (SimCluster's nodes)
+/// passes its own workers to spread the tasks.
 class Executor {
  public:
   virtual ~Executor() = default;
   virtual void run(int n, const std::vector<int>& pins,
+                   const std::vector<int>& workers,
                    const std::function<void(TaskContext&)>& body) = 0;
+  void run(int n, const std::vector<int>& pins,
+           const std::function<void(TaskContext&)>& body) {
+    run(n, pins, pins, body);
+  }
   virtual const char* name() const = 0;
 };
 
 /// One kernel thread per task. Preemptive; tasks may outnumber cpus.
 class ThreadExecutor final : public Executor {
  public:
+  using Executor::run;
   void run(int n, const std::vector<int>& pins,
+           const std::vector<int>& workers,
            const std::function<void(TaskContext&)>& body) override;
   const char* name() const override { return "thread"; }
 };
 
 /// Fibers over `num_workers` kernel threads; task i starts on worker
-/// pins[i] % num_workers, matching MPC's task-per-core placement.
+/// workers[i] % num_workers and keeps cpu pins[i].
 class FiberExecutor final : public Executor {
  public:
   explicit FiberExecutor(int num_workers, std::size_t stack_bytes = 256 * 1024)
       : num_workers_(num_workers), stack_bytes_(stack_bytes) {}
+  using Executor::run;
   void run(int n, const std::vector<int>& pins,
+           const std::vector<int>& workers,
            const std::function<void(TaskContext&)>& body) override;
   const char* name() const override { return "fiber"; }
 

@@ -7,6 +7,8 @@
 //    ascending GLOBAL rank order even though the fold is factored into a
 //    local tier and a leader tier;
 //  - bcast from every root, allgather in global rank order, barrier;
+//  - fiber placement: node-local cpus, leaders spread over the workers,
+//    and the fold order holds with the leader tier running in parallel;
 //  - ScheduleExplorer drives a whole 2-node job through many
 //    deterministic schedules (the fabric's sync points make leader
 //    exchanges explorable);
@@ -15,6 +17,7 @@
 //    kill_node and for an injected link failure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -25,6 +28,7 @@
 #include "fault/injector.hpp"
 #include "mpi/mpi.hpp"
 #include "obs/recorder.hpp"
+#include "ult/scheduler.hpp"
 
 namespace check = hlsmpc::check;
 namespace fault = hlsmpc::fault;
@@ -342,6 +346,63 @@ TEST(Cluster, ObsCountsCollectivesAndFabricTraffic) {
     for (std::uint64_t v : t.c) EXPECT_EQ(v, 0u);
   }
 #endif
+}
+
+// ---- fiber placement: leaders spread over the workers ----
+
+TEST(Cluster, FiberPlacementSpreadsLeadersOverWorkers) {
+  // 8 nodes x 2 ranks on 4 workers (set explicitly: the default follows
+  // the host's cpu count). Every rank keeps its node-local cpu, but the
+  // worker is local-major round robin, (local * 8 + node) % 4, so the
+  // leaders of nodes 0-3 run on four distinct kernel threads.
+  constexpr int kNodes = 8;
+  constexpr int kRpn = 2;
+  constexpr int kWorkers = 4;
+  mpi::ClusterOptions o = copts({kNodes, kRpn, mpi::ExecutorKind::fiber});
+  o.fiber_workers = kWorkers;
+  mpi::SimCluster cluster(o);
+  const int n = cluster.nranks();
+  std::vector<int> worker(static_cast<std::size_t>(n), -1);
+  std::vector<int> cpu(static_cast<std::size_t>(n), -1);
+  cluster.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+    const auto g = static_cast<std::size_t>(comm.rank(ctx));
+    worker[g] = dynamic_cast<hlsmpc::ult::FiberTaskContext&>(ctx)
+                    .target_worker();
+    cpu[g] = ctx.cpu();
+  });
+  std::vector<int> leader_workers;
+  for (int g = 0; g < n; ++g) {
+    const int node = g / kRpn;
+    const int local = g % kRpn;
+    const auto k = static_cast<std::size_t>(g);
+    EXPECT_EQ(worker[k], (local * kNodes + node) % kWorkers) << "rank " << g;
+    EXPECT_EQ(cpu[k], cluster.node_runtime(node).cpu_of_rank(local))
+        << "rank " << g;
+    if (local == 0 && node < kWorkers) leader_workers.push_back(worker[k]);
+  }
+  std::sort(leader_workers.begin(), leader_workers.end());
+  EXPECT_EQ(leader_workers, (std::vector<int>{0, 1, 2, 3}));
+
+  // The Mat-over-Z1009 fold order with the leader tier truly parallel.
+  for (std::size_t count : kCounts) {
+    const std::vector<Mat> want = reference(n - 1, count);
+    std::atomic<int> checked{0};
+    cluster.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+      const int g = comm.rank(ctx);
+      const std::vector<Mat> in = make_contrib(g, count);
+      std::vector<Mat> out(count);
+      comm.allreduce(ctx, in.data(), out.data(), count, sizeof(Mat),
+                     mat_fn());
+      if (out == want) checked.fetch_add(1);
+      for (int root = 0; root < comm.size(); ++root) {
+        std::vector<Mat> red(count);
+        comm.reduce(ctx, in.data(), g == root ? red.data() : nullptr, count,
+                    sizeof(Mat), mat_fn(), root);
+        if (g == root && red == want) checked.fetch_add(1);
+      }
+    });
+    EXPECT_EQ(checked.load(), 2 * n) << "count=" << count;
+  }
 }
 
 // ---- deterministic exploration of the leader exchange ----

@@ -4,10 +4,12 @@
 #include <numeric>
 #include <vector>
 
+#include "check/deterministic_executor.hpp"
 #include "ult/fiber.hpp"
 #include "ult/scheduler.hpp"
 #include "ult/task_context.hpp"
 
+namespace check = hlsmpc::check;
 namespace ult = hlsmpc::ult;
 
 TEST(Fiber, RunsToCompletion) {
@@ -176,6 +178,65 @@ TEST(Executor, PinSizeMismatchThrows) {
                std::invalid_argument);
   EXPECT_THROW(fex.run(3, {0, 1}, [](ult::TaskContext&) {}),
                std::invalid_argument);
+}
+
+namespace {
+
+/// Worker slot of every task of one FiberExecutor run, read at entry.
+std::vector<int> fiber_workers_of(ult::FiberExecutor& ex,
+                                  const std::vector<int>& pins,
+                                  const std::vector<int>* workers) {
+  const int n = static_cast<int>(pins.size());
+  std::vector<int> got(pins.size(), -1);
+  const auto record = [&](ult::TaskContext& ctx) {
+    got[static_cast<std::size_t>(ctx.task_id())] =
+        dynamic_cast<ult::FiberTaskContext&>(ctx).target_worker();
+  };
+  if (workers != nullptr) {
+    ex.run(n, pins, *workers, record);
+  } else {
+    ex.run(n, pins, record);
+  }
+  return got;
+}
+
+}  // namespace
+
+TEST(Executor, FiberWorkersPlaceTasksModuloWorkerCount) {
+  ult::FiberExecutor ex(3);
+  const std::vector<int> pins = {0, 0, 0, 0, 0};
+  const std::vector<int> workers = {4, 0, 2, 7, 1};
+  std::atomic<int> bad_cpu{0};
+  ex.run(5, pins, workers, [&](ult::TaskContext& ctx) {
+    if (ctx.cpu() != 0) ++bad_cpu;
+  });
+  EXPECT_EQ(bad_cpu.load(), 0) << "workers must not change cpu()";
+  EXPECT_EQ(fiber_workers_of(ex, pins, &workers),
+            (std::vector<int>{1, 0, 2, 1, 1}));
+}
+
+TEST(Executor, PinsOnlyRunPlacesAsWorkersEqualPins) {
+  ult::FiberExecutor ex(4);
+  const std::vector<int> pins = {5, 2, 0, 7, 3, 6};
+  EXPECT_EQ(fiber_workers_of(ex, pins, nullptr),
+            fiber_workers_of(ex, pins, &pins));
+  EXPECT_EQ(fiber_workers_of(ex, pins, nullptr),
+            (std::vector<int>{1, 2, 0, 3, 3, 2}));
+}
+
+TEST(Executor, WorkerSizeMismatchThrows) {
+  ult::ThreadExecutor tex;
+  ult::FiberExecutor fex(2);
+  check::RandomPolicy policy(1);
+  check::DeterministicExecutor dex(policy);
+  for (ult::Executor* ex : std::vector<ult::Executor*>{&tex, &fex, &dex}) {
+    EXPECT_THROW(ex->run(2, {0, 1}, {0}, [](ult::TaskContext&) {}),
+                 std::invalid_argument)
+        << ex->name();
+    EXPECT_THROW(ex->run(2, {0, 1}, {0, 1, 2}, [](ult::TaskContext&) {}),
+                 std::invalid_argument)
+        << ex->name();
+  }
 }
 
 TEST(Executor, BodyExceptionPropagates) {

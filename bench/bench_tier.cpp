@@ -21,16 +21,23 @@
 // The committed BENCH_tier.json baseline holds only the bandwidth-bound
 // 4 MiB pre-read/pread points cross-run; the warm get_addr points are
 // nanosecond-scale and candidate-only, covered by the ratio gate.
+//
+// BM_OverPoolFirstTouch is a per-layer point without a gate (candidate-
+// only): four ranks' cold get_addr of a file_spill region twice the
+// page-cache pool, the file-tier first touch a set-up pays.
 #include <benchmark/benchmark.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hls/hls.hpp"
@@ -228,6 +235,69 @@ void BM_PrereadVsPread(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_PrereadVsPread)->Arg(4 << 20)->UseManualTime()->Iterations(1);
+
+// ---- file-tier first touch over the pool ----
+
+/// Seconds from the first to the last of `kRanks` concurrent cold
+/// get_addr calls on one node-scope file_spill region of `bytes` in a
+/// fresh runtime. Materialization (segment creation, baselines) and the
+/// page cache's pricing of every rank's whole-range touch are inside the
+/// window, as in a set-up.
+double first_touch_seconds(const topo::Machine& m,
+                           const hls::Runtime::Options& o, std::size_t bytes) {
+  constexpr int kRanks = 4;
+  hls::Runtime rt(m, kRanks, o);
+  const hls::VarHandle h = register_blob(rt, "tiered", bytes);
+  rt.storage().set_module_tier(h.scope, h.module, hls::Tier::file_spill);
+  std::atomic<int> ready{0};
+  std::vector<std::chrono::steady_clock::time_point> t0(kRanks), t1(kRanks);
+  ult::ThreadExecutor ex;
+  ex.run(kRanks, {0, 1, 2, 3}, [&](TaskContext& ctx) {
+    rt.bind_task(ctx);
+    ready.fetch_add(1);
+    while (ready.load() < kRanks) std::this_thread::yield();
+    const auto i = static_cast<std::size_t>(ctx.task_id());
+    t0[i] = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(rt.get_addr(h, ctx));
+    t1[i] = std::chrono::steady_clock::now();
+  });
+  return std::chrono::duration<double>(
+             *std::max_element(t1.begin(), t1.end()) -
+             *std::min_element(t0.begin(), t0.end()))
+      .count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Median of interleaved reps: the region against a pool of half its
+/// pages (`over_us`, the reported time) and, for scale, against a pool
+/// twice its size (`fit_us`), both with 16 KiB pages.
+void BM_OverPoolFirstTouch(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  constexpr int kReps = 9;
+  const topo::Machine m = topo::Machine::nehalem_ex(2);
+  hls::Runtime::Options over;
+  over.tier.dir = fresh_dir("bench_tier_first_touch");
+  over.tier.page_bytes = 16 << 10;
+  over.tier.pool_pages = bytes / over.tier.page_bytes / 2;
+  hls::Runtime::Options fit = over;
+  fit.tier.pool_pages = 4 * over.tier.pool_pages;
+  for (auto _ : state) {
+    std::vector<double> over_s, fit_s;
+    for (int rep = 0; rep < kReps; ++rep) {
+      over_s.push_back(first_touch_seconds(m, over, bytes));
+      fit_s.push_back(first_touch_seconds(m, fit, bytes));
+    }
+    const double over_med = median(over_s);
+    state.SetIterationTime(over_med);
+    state.counters["over_us"] = benchmark::Counter(over_med * 1e6);
+    state.counters["fit_us"] = benchmark::Counter(median(fit_s) * 1e6);
+  }
+}
+BENCHMARK(BM_OverPoolFirstTouch)->Arg(4 << 20)->UseManualTime()->Iterations(1);
 
 }  // namespace
 

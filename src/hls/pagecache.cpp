@@ -31,6 +31,18 @@ std::size_t page_span(std::size_t page_bytes, std::size_t region_bytes,
   return std::min(page_bytes, region_bytes - off);
 }
 
+/// CRC-32C of `bytes` zero bytes, chained over one small zero block.
+std::uint32_t crc32c_zeros(std::size_t bytes) {
+  static const unsigned char kZeros[4096] = {};
+  std::uint32_t crc = 0;
+  while (bytes > 0) {
+    const std::size_t n = std::min(bytes, sizeof(kZeros));
+    crc = crc32c(kZeros, n, crc);
+    bytes -= n;
+  }
+  return crc;
+}
+
 }  // namespace
 
 PageCache::PageCache(TierConfig cfg, obs::Recorder* obs)
@@ -51,6 +63,7 @@ PageCache::PageCache(TierConfig cfg, obs::Recorder* obs)
     throw HlsError("PageCache: pool_pages must be positive");
   }
   if (cfg_.read_ahead_pages == 0) cfg_.read_ahead_pages = 1;
+  scratch_.resize(cfg_.read_ahead_pages * cfg_.page_bytes);
 }
 
 PageCache::~PageCache() = default;
@@ -63,7 +76,8 @@ PageCache::Region* PageCache::region_locked(int rid) const {
   return regions_[static_cast<std::size_t>(rid)].get();
 }
 
-int PageCache::attach(shm::MappedSegment* seg, int sid, int instance) {
+int PageCache::attach(shm::MappedSegment* seg, int sid, int instance,
+                      bool zeroed) {
   if (seg == nullptr || seg->size() == 0) {
     throw HlsError("PageCache: attach of empty segment");
   }
@@ -76,10 +90,22 @@ int PageCache::attach(shm::MappedSegment* seg, int sid, int instance) {
   r->resident.assign(r->npages, 0);
   r->noted.assign(r->npages, 0);
   r->stamp.assign(r->npages, 0);
-  const unsigned char* base = static_cast<const unsigned char*>(seg->base());
-  for (std::size_t p = 0; p < r->npages; ++p) {
-    r->base_crc[p] = crc32c(base + p * cfg_.page_bytes,
-                            page_span(cfg_.page_bytes, seg->size(), p));
+  if (zeroed) {
+    // Every page's baseline is the CRC of a zero span: one CRC per
+    // distinct span length (whole pages, then a short last page), and no
+    // page of the segment is faulted in to compute it.
+    const std::uint32_t whole = crc32c_zeros(cfg_.page_bytes);
+    std::fill(r->base_crc.begin(), r->base_crc.end(), whole);
+    const std::size_t tail = page_span(cfg_.page_bytes, seg->size(),
+                                       r->npages - 1);
+    if (tail != cfg_.page_bytes) r->base_crc.back() = crc32c_zeros(tail);
+  } else {
+    const unsigned char* base =
+        static_cast<const unsigned char*>(seg->base());
+    for (std::size_t p = 0; p < r->npages; ++p) {
+      r->base_crc[p] = crc32c(base + p * cfg_.page_bytes,
+                              page_span(cfg_.page_bytes, seg->size(), p));
+    }
   }
   std::lock_guard<std::mutex> lk(mu_);
   for (std::size_t i = 0; i < regions_.size(); ++i) {
@@ -173,7 +199,33 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
   len = std::min(len, r->seg->size() - offset);
   const std::size_t first = offset / cfg_.page_bytes;
   const std::size_t last = (offset + len - 1) / cfg_.page_bytes;
-  for (std::size_t p = first; p <= last; ++p) {
+  // A range larger than the pool can keep only its last pool_pages pages
+  // resident. The pages before that tail are priced (hit if resident,
+  // miss if not) but neither read nor re-stamped. Pre-reading them would
+  // not warm the kernel page cache for the faults that follow: a fresh
+  // segment holds holes or bytes this process just wrote, and attach()
+  // has already read every page of a re-opened one to hash it. Pages
+  // resident there keep their old stamps, so they are the first the LRU
+  // drops (written back if dirty).
+  const bool over_pool = last - first + 1 > cfg_.pool_pages;
+  const std::size_t tail = over_pool ? last + 1 - cfg_.pool_pages : first;
+  if (over_pool) {
+    std::uint64_t head_hits = 0;
+    for (std::size_t p = first; p < tail; ++p) head_hits += r->resident[p];
+    const std::uint64_t head_misses = (tail - first) - head_hits;
+    stats_.hits += head_hits;
+    stats_.misses += head_misses;
+#if HLSMPC_OBS_ENABLED
+    if (obs_ != nullptr) {
+      obs_->count(task, obs::Counter::tier_cache_hits, head_hits);
+      obs_->count(task, obs::Counter::tier_cache_misses, head_misses);
+    }
+#endif
+  }
+  // Over the pool, the window stops at the range's end: pages past it
+  // would evict the tail this touch just read.
+  const std::size_t wcap = over_pool ? last + 1 : r->npages;
+  for (std::size_t p = tail; p <= last; ++p) {
     if (r->resident[p] != 0) {
       ++stats_.hits;
       r->stamp[p] = ++tick_;
@@ -186,7 +238,7 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
     // kernel page cache, so the pages this rank's neighbours touch next
     // — and the remainder of this access — fault from memory.
     const std::size_t wend =
-        std::min(r->npages, std::max(p + cfg_.read_ahead_pages, last + 1));
+        std::min(wcap, std::max(p + cfg_.read_ahead_pages, last + 1));
     std::size_t wpages = 0;
     std::size_t q = p;
     while (q < wend && r->resident[q] == 0) {
@@ -196,11 +248,15 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
     const std::size_t woff = p * cfg_.page_bytes;
     const std::size_t wlen =
         std::min(wpages * cfg_.page_bytes, r->seg->size() - woff);
-    if (scratch_.size() < wlen) scratch_.resize(wlen);
+    // One window, read in chunks of at most read_ahead_pages pages into a
+    // scratch of that size: the buffer is only a landing pad, the kernel
+    // page cache is what the read fills.
     std::size_t got = 0;
     while (got < wlen) {
-      const ssize_t n = ::pread(r->seg->fd(), scratch_.data() + got,
-                                wlen - got, static_cast<off_t>(woff + got));
+      const ssize_t n =
+          ::pread(r->seg->fd(), scratch_.data(),
+                  std::min(scratch_.size(), wlen - got),
+                  static_cast<off_t>(woff + got));
       if (n < 0) {
         if (errno == EINTR) continue;
         break;  // holes read as zeros through the mapping anyway
@@ -251,22 +307,32 @@ void PageCache::note_write(int rid, std::size_t offset, std::size_t len) {
   for (std::size_t p = first; p <= last; ++p) r->noted[p] = 1;
 }
 
+std::vector<std::pair<std::size_t, std::size_t>> PageCache::dirty_runs_locked(
+    const Region& r) const {
+  // One pass, one hash per page: a dirty page extends the span that ends
+  // where it starts, or opens a new one.
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t p = 0; p < r.npages; ++p) {
+    if (!page_dirty_locked(r, p)) continue;
+    const std::size_t off = p * cfg_.page_bytes;
+    const std::size_t len = page_span(cfg_.page_bytes, r.seg->size(), p);
+    if (!out.empty() && out.back().first + out.back().second == off) {
+      out.back().second += len;
+    } else {
+      out.emplace_back(off, len);
+    }
+  }
+  return out;
+}
+
 std::size_t PageCache::writeback(int rid, int task) {
   std::lock_guard<std::mutex> lk(mu_);
   Region* r = region_locked(rid);
   std::size_t total = 0;
-  // Coalesce runs of dirty pages into one msync (and one event) per span.
-  std::size_t p = 0;
-  while (p < r->npages) {
-    if (!page_dirty_locked(*r, p)) {
-      ++p;
-      continue;
-    }
-    std::size_t q = p;
-    while (q < r->npages && page_dirty_locked(*r, q)) ++q;
-    const std::size_t off = p * cfg_.page_bytes;
-    const std::size_t len =
-        std::min((q - p) * cfg_.page_bytes, r->seg->size() - off);
+  // One msync (and one event) per coalesced span.
+  for (const auto& [off, len] : dirty_runs_locked(*r)) {
+    const std::size_t p = off / cfg_.page_bytes;
+    const std::size_t q = p + (len + cfg_.page_bytes - 1) / cfg_.page_bytes;
     r->seg->sync(off, len, /*blocking=*/true);
     for (std::size_t m = p; m < q; ++m) r->noted[m] = 0;
     ++stats_.writebacks;
@@ -288,7 +354,6 @@ std::size_t PageCache::writeback(int rid, int task) {
 #else
     (void)task;
 #endif
-    p = q;
   }
   return total;
 }
@@ -296,22 +361,7 @@ std::size_t PageCache::writeback(int rid, int task) {
 std::vector<std::pair<std::size_t, std::size_t>> PageCache::dirty_spans(
     int rid) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const Region* r = region_locked(rid);
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  std::size_t p = 0;
-  while (p < r->npages) {
-    if (!page_dirty_locked(*r, p)) {
-      ++p;
-      continue;
-    }
-    std::size_t q = p;
-    while (q < r->npages && page_dirty_locked(*r, q)) ++q;
-    const std::size_t off = p * cfg_.page_bytes;
-    out.emplace_back(off,
-                     std::min((q - p) * cfg_.page_bytes, r->seg->size() - off));
-    p = q;
-  }
-  return out;
+  return dirty_runs_locked(*region_locked(rid));
 }
 
 void PageCache::rebaseline(int rid) {

@@ -10,7 +10,9 @@
 //    kept-open fd. The pread's real product is the KERNEL page cache — a
 //    node-local resource — so one rank's pre-read of shared input makes
 //    every co-resident rank's later fault a memory hit. Our resident
-//    bitmap mirrors that state and prices touches as hits/misses.
+//    bitmap mirrors that state and prices touches as hits/misses. A
+//    touch of a range larger than the pool never reads pages it would
+//    evict before returning: it pre-reads only its last pool_pages pages.
 //  - pool pressure: a fixed budget of resident pages across all regions;
 //    exceeding it evicts the least-recently-touched page (written back
 //    first when dirty, then MADV_DONTNEED) — the out-of-core bound.
@@ -80,14 +82,21 @@ class PageCache {
   /// Register a mapped segment; returns its region id for the calls
   /// below. `sid`/`instance` only label obs events. The segment must
   /// outlive the registration (detach() or the cache's destruction).
-  /// Baselines are captured from the segment's current contents.
-  int attach(shm::MappedSegment* seg, int sid = -1, int instance = -1);
+  /// Baselines are captured from the segment's current contents; pass
+  /// `zeroed` when the caller knows every byte is zero (a freshly created
+  /// segment nothing has written into), and each baseline is the CRC of a
+  /// zero span instead — the same values, without reading the segment.
+  int attach(shm::MappedSegment* seg, int sid = -1, int instance = -1,
+             bool zeroed = false);
   void detach(int rid);
 
   /// Price the access of [offset, offset+len): resident pages count as
   /// hits; each run of non-resident pages counts misses and issues one
   /// bulk read-ahead (extended to read_ahead_pages). May evict under pool
-  /// pressure. `task` labels obs counters/events.
+  /// pressure. A range of more than pool_pages pages reads only its last
+  /// pool_pages pages (the rest would be evicted before the call
+  /// returns): earlier pages are priced but not read. `task` labels obs
+  /// counters/events.
   void touch(int rid, std::size_t offset, std::size_t len, int task = -1);
 
   /// Hint that [offset, offset+len) was (or will be) written — marks the
@@ -118,6 +127,8 @@ class PageCache {
   void evict_down_to_budget_locked(int task);
   void writeback_page_locked(Region& r, std::size_t page, int task);
   bool page_dirty_locked(const Region& r, std::size_t page) const;
+  std::vector<std::pair<std::size_t, std::size_t>> dirty_runs_locked(
+      const Region& r) const;
   Region* region_locked(int rid) const;
 
   TierConfig cfg_;
@@ -129,7 +140,8 @@ class PageCache {
   std::size_t resident_pages_ = 0;
   std::uint64_t tick_ = 0;
   Stats stats_;
-  std::vector<unsigned char> scratch_;  ///< reused read-ahead buffer
+  /// Reused read-ahead landing buffer of read_ahead_pages pages.
+  std::vector<unsigned char> scratch_;
 };
 
 }  // namespace hlsmpc::hls

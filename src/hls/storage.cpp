@@ -156,13 +156,21 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
       }
       base = static_cast<std::byte*>(region.file->base());
       reopened = tier == Tier::file_backed && region.file->reopened();
+      bool initialized = false;
       if (!reopened) {
         for (const VarInfo& v : m.vars) {
-          if (v.canonical == scope && v.init) v.init(base + v.offset);
+          if (v.canonical == scope && v.init) {
+            v.init(base + v.offset);
+            initialized = true;
+          }
         }
       }
       region.tier = tier;
-      region.cache_rid = cache_->attach(region.file.get(), sid, instance);
+      // A segment created just now is all zeros until an initializer
+      // writes: its baselines need no hashing.
+      region.cache_rid =
+          cache_->attach(region.file.get(), sid, instance,
+                         !region.file->reopened() && !initialized);
 #if HLSMPC_OBS_ENABLED
       if (obs_ != nullptr) {
         const int task = ctx != nullptr ? ctx->task_id() : -1;

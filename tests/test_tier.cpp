@@ -4,16 +4,20 @@
 //
 // The load-bearing checks:
 //  - page cache: a cold touch's bulk read-ahead turns a co-resident
-//    rank's later touch into a hit; small dirty ranges coalesce into
-//    maximal write-back spans; pool pressure evicts least-recently-
-//    touched pages without losing data; content hashing catches writes
-//    through warm pointers that never re-entered the runtime;
+//    rank's later touch into a hit; a touch larger than the pool reads
+//    only the tail it keeps; small dirty ranges coalesce into maximal
+//    write-back spans; pool pressure evicts least-recently-touched pages
+//    without losing data; content hashing catches writes through warm
+//    pointers that never re-entered the runtime; zero baselines of a
+//    fresh segment equal hashed ones;
 //  - MappedSegment: a stable path re-opens bit-identical, a size
 //    mismatch recreates zeros (never leaks stale bytes);
 //  - runtime: a file_backed scope behaves exactly like anonymous storage
 //    through hls_get_addr, is not charged as DRAM, survives a process
 //    restart bit-identically (with hit/miss counters visible in the obs
-//    snapshot), and file_spill scratch is unlinked at destruction;
+//    snapshot), and file_spill scratch is unlinked at destruction; an
+//    initialized spill region is clean after first touch, and a cold
+//    over-pool region is pre-read once per node, not once per rank;
 //  - incremental checkpoints: a delta save snapshots only the dirty page
 //    spans, chains onto its full base, and restores bit-identically into
 //    a fresh runtime.
@@ -21,6 +25,7 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -220,6 +225,99 @@ TEST(PageCache, EvictsUnderPoolPressureWithoutDataLoss) {
   }
 }
 
+TEST(PageCache, OverPoolTouchReadsOnlyTheTailItKeeps) {
+  const std::string dir = fresh_dir("hls_tier_pc_over");
+  shm::MappedSegment seg(dir + "/seg", 8 * kPage);
+  hls::TierConfig cfg = small_pages(dir);
+  cfg.pool_pages = 2;
+  cfg.read_ahead_pages = 4;
+  hls::PageCache pc(cfg);
+  const int rid = pc.attach(&seg);
+
+  // Single-page touches from the top down: each window stops at the
+  // resident page above it, so pages 1 and 0 are resident at the end.
+  for (std::size_t page = 8; page-- > 0;) pc.touch(rid, page * kPage, 1);
+  // Dirty page 0 through the mapping (no hint: the hash must catch it).
+  auto* p = static_cast<unsigned char*>(seg.base());
+  for (std::size_t i = 0; i < kPage; ++i) {
+    p[i] = static_cast<unsigned char>(i * 29 + 3);
+  }
+
+  // The whole range is 8 pages against a pool of 2: only pages 6 and 7
+  // can be resident on return, so only they are read.
+  const hls::PageCache::Stats before = pc.stats();
+  pc.touch(rid, 0, 8 * kPage, /*task=*/0);
+  const hls::PageCache::Stats s = pc.stats();
+  EXPECT_EQ(s.hits - before.hits, 2u);      // pages 0 and 1
+  EXPECT_EQ(s.misses - before.misses, 6u);  // every page not resident
+  EXPECT_EQ(s.prereads - before.prereads, 1u);
+  EXPECT_EQ(s.preread_bytes - before.preread_bytes, 2 * kPage);
+  // Pages 0 and 1 left through the LRU; dirty page 0 was written back
+  // first, clean page 1 was not.
+  EXPECT_EQ(s.evictions - before.evictions, 2u);
+  EXPECT_EQ(s.writebacks - before.writebacks, 1u);
+  EXPECT_EQ(s.writeback_bytes - before.writeback_bytes, kPage);
+  std::vector<unsigned char> file(kPage);
+  ASSERT_EQ(::pread(seg.fd(), file.data(), kPage, 0),
+            static_cast<ssize_t>(kPage));
+  for (std::size_t i = 0; i < kPage; ++i) {
+    ASSERT_EQ(file[i], static_cast<unsigned char>(i * 29 + 3)) << "byte " << i;
+    ASSERT_EQ(p[i], static_cast<unsigned char>(i * 29 + 3)) << "byte " << i;
+  }
+
+  // The tail it kept serves the next whole-range touch: no new I/O.
+  pc.touch(rid, 0, 8 * kPage, /*task=*/1);
+  const hls::PageCache::Stats again = pc.stats();
+  EXPECT_EQ(again.prereads, s.prereads);
+  EXPECT_EQ(again.preread_bytes, s.preread_bytes);
+  EXPECT_EQ(again.hits - s.hits, 2u);  // pages 6 and 7
+}
+
+TEST(PageCache, FreshSegmentZeroBaselinesMatchHashing) {
+  const std::string dir = fresh_dir("hls_tier_pc_zero");
+  // A zero span's CRC is chained over a 4 KiB zero block: pages of one
+  // block and of several, each with a short last span.
+  for (const std::size_t page : {kPage, 4 * kPage}) {
+    SCOPED_TRACE("page_bytes " + std::to_string(page));
+    hls::TierConfig cfg = small_pages(dir);
+    cfg.page_bytes = page;
+    // Three and a half pages: the last span is short.
+    const std::size_t bytes = 3 * page + page / 2;
+    const std::string path = dir + "/seg" + std::to_string(page);
+    {
+      shm::MappedSegment seg(path, bytes);
+      ASSERT_FALSE(seg.reopened());
+      hls::PageCache zeroed(cfg);
+      hls::PageCache hashed(cfg);
+      const int zrid = zeroed.attach(&seg, -1, -1, /*zeroed=*/true);
+      const int hrid = hashed.attach(&seg);
+      EXPECT_TRUE(zeroed.dirty_spans(zrid).empty());
+      EXPECT_TRUE(hashed.dirty_spans(hrid).empty());
+
+      // One written byte dirties exactly its page, whole or short.
+      auto* p = static_cast<unsigned char*>(seg.base());
+      p[page + 9] = 0x5A;
+      const std::vector<std::pair<std::size_t, std::size_t>> one = {
+          {page, page}};
+      EXPECT_EQ(zeroed.dirty_spans(zrid), one);
+      EXPECT_EQ(hashed.dirty_spans(hrid), one);
+      p[bytes - 1] = 0xA5;
+      const std::vector<std::pair<std::size_t, std::size_t>> two = {
+          {page, page}, {3 * page, page / 2}};
+      EXPECT_EQ(zeroed.dirty_spans(zrid), two);
+      EXPECT_EQ(hashed.dirty_spans(hrid), two);
+      seg.sync(0, bytes, /*blocking=*/true);
+    }
+    // Re-opened with non-zero contents: the baselines are hashed, so the
+    // region is clean right after attach.
+    shm::MappedSegment seg(path, bytes);
+    ASSERT_TRUE(seg.reopened());
+    hls::PageCache pc(cfg);
+    const int rid = pc.attach(&seg, -1, -1, /*zeroed=*/!seg.reopened());
+    EXPECT_TRUE(pc.dirty_spans(rid).empty());
+  }
+}
+
 // ---- the persistence substrate ---------------------------------------
 
 TEST(MappedSegmentTier, ReopenIsBitIdenticalAndMismatchRecreates) {
@@ -327,6 +425,12 @@ TEST(TierRuntime, FileBackedSurvivesRestartBitIdenticalThroughGetAddr) {
                             &ctx);
     });
     EXPECT_TRUE(ok.load());
+    // The re-opened contents are the baselines (hashed, not assumed
+    // zero): nothing is dirty until a task writes.
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+    ASSERT_TRUE(rt.storage().tier_dirty_spans(v.blob.scope, 0, v.blob.module,
+                                              &spans));
+    EXPECT_TRUE(spans.empty());
 #if HLSMPC_OBS_ENABLED
     const obs::Snapshot snap = rt.obs()->snapshot();
     EXPECT_GE(snap.value(obs::Counter::tier_cache_misses), 1u);
@@ -352,6 +456,66 @@ TEST(TierRuntime, SpillFilesAreRemovedAtDestruction) {
   }
   // Scratch is scratch: destruction unlinks every spill file.
   EXPECT_EQ(count_files(dir), 0);
+}
+
+TEST(TierRuntime, InitializedSpillRegionIsCleanAfterFirstTouch) {
+  const std::string dir = fresh_dir("hls_tier_rt_init");
+  const topo::Machine m = topo::Machine::nehalem_ex(2);
+  hls::Runtime::Options o;
+  o.tier = small_pages(dir);
+  hls::Runtime rt(m, 1, o);
+  hls::ModuleBuilder mb(rt.registry(), "inited");
+  const std::size_t n = 3 * kPage + 100;
+  auto arr = hls::add_array<std::uint8_t>(
+      mb, "arr", n, topo::node_scope(), [](std::uint8_t* p, std::size_t c) {
+        for (std::size_t i = 0; i < c; ++i) {
+          p[i] = static_cast<std::uint8_t>(i * 7 + 1);
+        }
+      });
+  mb.commit();
+  const hls::VarHandle& h = arr.handle();
+  rt.storage().set_tier(h.scope, hls::Tier::file_spill);
+
+  // The initializer wrote into the fresh segment before the cache took
+  // its baselines, so they must be hashed, not assumed zero.
+  const auto* p = static_cast<const std::uint8_t*>(rt.storage().get_addr(h, 0));
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(p[i], static_cast<std::uint8_t>(i * 7 + 1)) << "byte " << i;
+  }
+  const int inst =
+      rt.registry().scopes().instance_of(hls::scope_id(rt.registry().scopes(),
+                                                       h.scope), 0);
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  ASSERT_TRUE(rt.storage().tier_dirty_spans(h.scope, inst, h.module, &spans));
+  EXPECT_TRUE(spans.empty());
+}
+
+TEST(TierRuntime, ColdOverPoolRegionIsPreReadOncePerNode) {
+  const std::string dir = fresh_dir("hls_tier_rt_overpool");
+  const topo::Machine m = topo::Machine::nehalem_ex(2);
+  hls::Runtime::Options o;
+  o.tier = small_pages(dir);
+  o.tier.pool_pages = 8;
+  hls::Runtime rt(m, 4, o);
+  hls::ModuleBuilder mb(rt.registry(), "overpool");
+  auto arr = hls::add_array<std::uint8_t>(mb, "arr", 16 * kPage,
+                                          topo::node_scope());
+  mb.commit();
+  const hls::VarHandle& h = arr.handle();
+  rt.storage().set_tier(h.scope, hls::Tier::file_spill);
+
+  // Four ranks of one node, each with a cold get_addr of the whole
+  // region (twice the pool).
+  ult::ThreadExecutor ex;
+  ex.run(4, {0, 1, 2, 3}, [&](ult::TaskContext& ctx) {
+    rt.bind_task(ctx);
+    EXPECT_NE(rt.get_addr(h, ctx), nullptr);
+  });
+  const hls::PageCache::Stats s = rt.storage().page_cache()->stats();
+  EXPECT_EQ(s.hits + s.misses, 4u * 16u);
+  // One rank reads the pool-sized tail; the others hit on it.
+  EXPECT_LE(s.preread_bytes, o.tier.pool_pages * kPage);
+  EXPECT_GE(s.hits, 3u * o.tier.pool_pages);
 }
 
 // ---- incremental checkpoints over dirty page tracking ------------------

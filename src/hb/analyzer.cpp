@@ -42,8 +42,8 @@ void Analyzer::compute_clocks() {
       std::vector<std::uint32_t>(static_cast<std::size_t>(n), 0));
   // Matched channels: (src,dst,tag) -> queue of send event ids already
   // processed; recv consumes in order.
-  std::map<std::tuple<int, int, int>, std::vector<int>> sent;
-  std::map<std::tuple<int, int, int>, std::size_t> consumed;
+  std::map<std::tuple<int, int, long>, std::vector<int>> sent;
+  std::map<std::tuple<int, int, long>, std::size_t> consumed;
 
   auto join = [n](std::vector<std::uint32_t>& a,
                   const std::vector<std::uint32_t>& b) {

@@ -1,23 +1,30 @@
 // Automatic HLS-eligibility detection over a live run (the paper's
 // conclusion / future work, built on the §III formalism).
 //
-// Attach a RuntimeTracer to the MPI runtime before running a program:
-// every point-to-point completion is recorded automatically via the
-// runtime's TraceHook (collectives are built over p2p, so their
-// synchronization structure is captured too). The application reports
-// reads/writes to candidate global variables through on_read/on_write —
-// the instrumentation a compiler pass would insert. After the run,
-// trace() assembles an hb::Trace and advise() runs the Advisor.
+// A RuntimeTracer is an obs::Sink: chain it onto the recorder the MPI
+// runtime reports to, and it turns the runtime's event stream into the
+// synchronizations the paper's model needs. p2p_send/p2p_recv events
+// become message edges (which also covers collectives built over p2p);
+// `collective` events served by the shared-memory engine, which sends no
+// message, become the edges that engine guarantees (see trace()). The
+// application reports reads/writes to candidate global variables through
+// on_read/on_write — the instrumentation a compiler pass would insert.
+// After the run, trace() assembles an hb::Trace and advise() runs the
+// Advisor.
 //
 //   hb::RuntimeTracer tracer(nranks);
-//   runtime.set_trace_hook(&tracer);
+//   obs::Recorder rec({.ntasks = nranks, .ring_capacity = 0});
+//   rec.chain(&tracer);
+//   mpi::Options o;  o.nranks = nranks;  o.obs = &rec;
+//   mpi::Runtime runtime(machine, o);
 //   runtime.run([&](Comm& world, TaskContext& ctx) {
 //     ...
 //     tracer.on_write(ctx.task_id(), "table", checksum);
 //     ...
 //   });
-//   runtime.set_trace_hook(nullptr);
 //   for (auto& a : tracer.advise()) ...
+//
+// (mpc::Node takes the tracer as NodeOptions::obs_sink.)
 //
 // Limitations (documented, by design): receives are recorded at wait()
 // (use wait, not bare test-loops, in traced programs), and value tracking
@@ -25,19 +32,14 @@
 #pragma once
 
 #include <mutex>
+#include <unordered_map>
 
 #include "hb/advisor.hpp"
-#include "mpi/trace_hook.hpp"
 #include "obs/event.hpp"
 
 namespace hlsmpc::hb {
 
-/// Attachable two ways: as the runtime's TraceHook (set_trace_hook) or as
-/// an obs::Sink chained onto an obs::Recorder's event stream — the sink
-/// path decodes p2p_send/p2p_recv events into the same send/recv records.
-/// Attach through one of the two, not both, or every p2p completion is
-/// recorded twice.
-class RuntimeTracer final : public mpi::TraceHook, public obs::Sink {
+class RuntimeTracer final : public obs::Sink {
  public:
   explicit RuntimeTracer(int ntasks);
 
@@ -45,12 +47,8 @@ class RuntimeTracer final : public mpi::TraceHook, public obs::Sink {
   void on_read(int task, const std::string& var, long value);
   void on_write(int task, const std::string& var, long value);
 
-  // mpi::TraceHook (called by the runtime).
-  void on_send(int task, int peer_task, int context, int tag) override;
-  void on_recv(int task, int peer_task, int context, int tag) override;
-
-  // obs::Sink: p2p events feed the same record stream; everything else is
-  // ignored (barriers/collectives are captured through their p2p parts).
+  /// The runtime's input: p2p events and shared-memory collectives are
+  /// recorded, everything else is ignored.
   void on_event(const obs::Event& e) override;
 
   /// Assemble the recorded events into an analyzable trace.
@@ -61,8 +59,12 @@ class RuntimeTracer final : public mpi::TraceHook, public obs::Sink {
   std::size_t num_events() const;
 
  private:
+  enum class Kind { read, write, send, recv, collective };
+  /// send/recv: peer task and ctx<<32|tag. collective: tag = context,
+  /// value = the call's ordinal on that context, peer = root task for a
+  /// bcast, -1 for an all-to-all synchronizing op.
   struct Recorded {
-    EventKind kind;
+    Kind kind;
     std::string var;
     long value = 0;
     int peer = -1;
@@ -71,12 +73,10 @@ class RuntimeTracer final : public mpi::TraceHook, public obs::Sink {
   struct PerTask {
     mutable std::mutex mu;
     std::vector<Recorded> events;
+    std::unordered_map<long, long> coll_calls;  // context -> calls so far
   };
 
-  static long combined_tag(int context, int tag) {
-    return (static_cast<long>(context) << 32) |
-           static_cast<long>(static_cast<unsigned>(tag));
-  }
+  void append(int task, Recorded r);
 
   int ntasks_;
   std::vector<PerTask> per_task_;

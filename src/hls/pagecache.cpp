@@ -46,15 +46,7 @@ std::uint32_t crc32c_zeros(std::size_t bytes) {
 }  // namespace
 
 PageCache::PageCache(TierConfig cfg, obs::Recorder* obs)
-    : cfg_(std::move(cfg))
-#if HLSMPC_OBS_ENABLED
-      ,
-      obs_(obs)
-#endif
-{
-#if !HLSMPC_OBS_ENABLED
-  (void)obs;
-#endif
+    : cfg_(std::move(cfg)), obs_(obs) {
   if (cfg_.page_bytes == 0 ||
       (cfg_.page_bytes & (cfg_.page_bytes - 1)) != 0) {
     throw HlsError("PageCache: page_bytes must be a power of two");
@@ -143,7 +135,6 @@ void PageCache::writeback_page_locked(Region& r, std::size_t page, int task) {
   r.noted[page] = 0;
   ++stats_.writebacks;
   stats_.writeback_bytes += len;
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) {
     obs_->count(task, obs::Counter::tier_writeback_bytes, len);
     obs::Event e;
@@ -156,9 +147,6 @@ void PageCache::writeback_page_locked(Region& r, std::size_t page, int task) {
     e.arg2 = 1;
     obs_->record(e);
   }
-#else
-  (void)task;
-#endif
 }
 
 void PageCache::evict_down_to_budget_locked(int task) {
@@ -215,23 +203,20 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
     const std::uint64_t head_misses = (tail - first) - head_hits;
     stats_.hits += head_hits;
     stats_.misses += head_misses;
-#if HLSMPC_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->count(task, obs::Counter::tier_cache_hits, head_hits);
       obs_->count(task, obs::Counter::tier_cache_misses, head_misses);
     }
-#endif
   }
-  // Over the pool, the window stops at the range's end: pages past it
-  // would evict the tail this touch just read.
-  const std::size_t wcap = over_pool ? last + 1 : r->npages;
+  // Windows stop pool_pages pages past the first page this touch keeps
+  // (the range's end when over the pool): pages beyond would evict what
+  // this touch just read, the touched pages included.
+  const std::size_t wcap = std::min(r->npages, tail + cfg_.pool_pages);
   for (std::size_t p = tail; p <= last; ++p) {
     if (r->resident[p] != 0) {
       ++stats_.hits;
       r->stamp[p] = ++tick_;
-#if HLSMPC_OBS_ENABLED
       if (obs_ != nullptr) obs_->count(task, obs::Counter::tier_cache_hits);
-#endif
       continue;
     }
     // Miss: bulk-read a window starting here. The pread populates the
@@ -276,7 +261,6 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
     stats_.misses += missed;
     ++stats_.prereads;
     stats_.preread_bytes += wlen;
-#if HLSMPC_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->count(task, obs::Counter::tier_cache_misses, missed);
       obs_->count(task, obs::Counter::tier_preread_bytes, wlen);
@@ -290,7 +274,6 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
       e.arg2 = static_cast<std::int64_t>(wpages);
       obs_->record(e);
     }
-#endif
     evict_down_to_budget_locked(task);
     p += wpages - 1;  // loop's ++p steps past the window
   }
@@ -338,7 +321,6 @@ std::size_t PageCache::writeback(int rid, int task) {
     ++stats_.writebacks;
     stats_.writeback_bytes += len;
     total += len;
-#if HLSMPC_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->count(task, obs::Counter::tier_writeback_bytes, len);
       obs::Event e;
@@ -351,9 +333,6 @@ std::size_t PageCache::writeback(int rid, int task) {
       e.arg2 = static_cast<std::int64_t>(q - p);
       obs_->record(e);
     }
-#else
-    (void)task;
-#endif
   }
   return total;
 }

@@ -11,8 +11,9 @@
 //    node-local resource — so one rank's pre-read of shared input makes
 //    every co-resident rank's later fault a memory hit. Our resident
 //    bitmap mirrors that state and prices touches as hits/misses. A
-//    touch of a range larger than the pool never reads pages it would
-//    evict before returning: it pre-reads only its last pool_pages pages.
+//    touch never reads pages it would evict before returning: windows
+//    stop pool_pages pages past the first page it keeps, and a range
+//    larger than the pool pre-reads only its last pool_pages pages.
 //  - pool pressure: a fixed budget of resident pages across all regions;
 //    exceeding it evicts the least-recently-touched page (written back
 //    first when dirty, then MADV_DONTNEED) — the out-of-core bound.
@@ -59,7 +60,7 @@ namespace hlsmpc::hls {
 
 class PageCache {
  public:
-  /// `obs`, when given (and observability is compiled in), receives
+  /// `obs`, when given, receives
   /// tier_cache_hits/misses/preread_bytes/writeback_bytes counters and
   /// tier_preread/tier_writeback events.
   explicit PageCache(TierConfig cfg, obs::Recorder* obs = nullptr);
@@ -132,9 +133,7 @@ class PageCache {
   Region* region_locked(int rid) const;
 
   TierConfig cfg_;
-#if HLSMPC_OBS_ENABLED
   obs::Recorder* obs_ = nullptr;
-#endif
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Region>> regions_;
   std::size_t resident_pages_ = 0;

@@ -70,8 +70,8 @@ class Runtime {
   /// (mpc::Node does), or leave it null to let the runtime own one.
   struct Options {
     memtrack::Tracker* tracker = nullptr;
-    /// Observability recorder. Null = the runtime owns a private one
-    /// (when HLSMPC_OBS is compiled in). Must be sized for >= ntasks.
+    /// Observability recorder. Null = the runtime owns a private one.
+    /// Must be sized for >= ntasks.
     obs::Recorder* obs = nullptr;
     /// Extra sink chained onto the event stream (correctness tracers,
     /// exporters). Must outlive the runtime's tasks.
@@ -94,7 +94,7 @@ class Runtime {
 
   /// `ntasks` MPI tasks will use this runtime.
   Runtime(const topo::Machine& machine, int ntasks, Options opts);
-  /// Default options (owned tracker, owned recorder when compiled in).
+  /// Default options (owned tracker, owned recorder).
   Runtime(const topo::Machine& machine, int ntasks);
   /// Legacy form; forwards to the Options constructor.
   Runtime(const topo::Machine& machine, int ntasks,
@@ -110,13 +110,9 @@ class Runtime {
   SyncManager& sync() { return sync_; }
   int ntasks() const { return ntasks_; }
 
-  /// The runtime's observability recorder; nullptr when the layer was
-  /// compiled out (HLSMPC_OBS=OFF).
-#if HLSMPC_OBS_ENABLED
+  /// The runtime's observability recorder (owned or Options::obs); never
+  /// null.
   obs::Recorder* obs() const { return obs_; }
-#else
-  obs::Recorder* obs() const { return nullptr; }
-#endif
 
   /// Must be called by each task before any other HLS operation
   /// (TaskView's constructor does it): records the task's pinning.
@@ -241,14 +237,12 @@ class Runtime {
   struct alignas(64) TaskCache {
     int cpu = -1;
     std::vector<CacheEntry> entries;
-#if HLSMPC_OBS_ENABLED
     /// The task's get_addr_warm counter cell, resolved once at
     /// construction: the warm path bumps it with one relaxed
     /// load/add/store instead of going through Recorder::count()'s
     /// bounds check and block indexing (which cost ~25% of the ~4ns
     /// path). Null when the recorder is sized below this task id.
     std::atomic<std::uint64_t>* warm_hits = nullptr;
-#endif
   };
 
   void invalidate_cache(int task);
@@ -258,10 +252,8 @@ class Runtime {
   std::unique_ptr<memtrack::Tracker> owned_tracker_;
   memtrack::Tracker* tracker_;
   Registry reg_;
-#if HLSMPC_OBS_ENABLED
   std::unique_ptr<obs::Recorder> owned_obs_;
   obs::Recorder* obs_;
-#endif
   StorageManager storage_;
   SyncManager sync_;
   int ntasks_;

@@ -67,9 +67,7 @@ SimCluster::SimCluster(ClusterOptions opts)
         workers = std::min(machine_.num_cpus(), std::max(hw, 1));
       }
       auto fe = std::make_unique<ult::FiberExecutor>(workers);
-#if HLSMPC_OBS_ENABLED
       fe->set_obs(opts_.obs);
-#endif
       executor_ = std::move(fe);
       break;
     }
@@ -151,9 +149,7 @@ ClusterComm::ClusterComm(SimCluster& cluster)
   std::iota(v->live.begin(), v->live.end(), 0);
   view_ = std::move(v);
   gate_ = std::make_unique<GateSlot[]>(static_cast<std::size_t>(nnodes_));
-#if HLSMPC_OBS_ENABLED
   obs_ = cluster.obs();
-#endif
 }
 
 Comm& ClusterComm::node_comm(int node) const {
@@ -203,11 +199,7 @@ void ClusterComm::node_gate(ult::TaskContext& lctx, Comm& nc, int node,
 }
 
 void ClusterComm::count_coll(int grank) {
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(grank, obs::Counter::coll_ops);
-#else
-  (void)grank;
-#endif
 }
 
 // ---- global p2p ----
@@ -223,9 +215,7 @@ void ClusterComm::send(ult::TaskContext& ctx, const void* buf,
   const int me = rank(ctx);
   Request r = fabric_->isend(ctx, me, dst, dst, buf, bytes, tag, kP2pContext);
   transport_wait(ctx, r);
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(me, obs::Counter::net_sends);
-#endif
 }
 
 void ClusterComm::recv(ult::TaskContext& ctx, void* buf, std::size_t capacity,
@@ -239,9 +229,7 @@ void ClusterComm::recv(ult::TaskContext& ctx, void* buf, std::size_t capacity,
   const int me = rank(ctx);
   Request r = fabric_->irecv(ctx, me, buf, capacity, src, tag, kP2pContext);
   transport_wait(ctx, r, status);
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(me, obs::Counter::net_recvs);
-#endif
 }
 
 // ---- leader-tier primitives ----
@@ -266,9 +254,7 @@ bool ClusterComm::coll_send(ult::TaskContext& ctx, int g_me, int dst_g,
     fabric_->kill_node(node_of(dst_g));
     return false;
   }
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(g_me, obs::Counter::net_sends);
-#endif
   return true;
 }
 
@@ -285,9 +271,7 @@ bool ClusterComm::coll_recv(ult::TaskContext& ctx, int g_me, int src_g,
     fabric_->kill_node(node_of(src_g));
     return false;
   }
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(g_me, obs::Counter::net_recvs);
-#endif
   return true;
 }
 
@@ -543,7 +527,6 @@ ShrinkReport ClusterComm::shrink(ult::TaskContext& ctx) {
       pod.mask = dec.dead_mask;
       pod.epoch = view->epoch + 1;
       pod.attempts = dec.attempts;
-#if HLSMPC_OBS_ENABLED
       if (obs_ != nullptr) {
         obs_->count(g, obs::Counter::recoveries);
         obs::Event e;
@@ -555,7 +538,6 @@ ShrinkReport ClusterComm::shrink(ult::TaskContext& ctx) {
         e.arg2 = dec.attempts;
         obs_->record(e);
       }
-#endif
     } catch (const NodeDeadError&) {
       pod.status = 1;
     } catch (const MpiError&) {

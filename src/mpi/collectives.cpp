@@ -22,22 +22,25 @@ namespace hlsmpc::mpi {
 
 namespace {
 
-#if HLSMPC_OBS_ENABLED
 /// RAII span for one collective call: bumps coll_ops on entry, records a
 /// `collective` event covering the whole call on destruction. Composite
 /// collectives (allreduce, allgather, ...) nest their phases' spans inside
 /// their own; a trace viewer renders them as nested slices. The event's
-/// arg packs the op together with the algorithm that actually served the
-/// call (set_alg; defaults to p2p).
+/// arg packs the op, the algorithm that actually served the call (set_alg;
+/// defaults to p2p) and the root's global task id; its instance is the
+/// communicator's collective context, which lets hb::RuntimeTracer match
+/// the calls of one collective across ranks.
 class CollScope {
  public:
   CollScope(Runtime& rt, obs::CollOp op, const ult::TaskContext& ctx,
-            std::int64_t bytes)
+            std::size_t bytes, int context, int root_task = 0)
       : obs_(rt.obs()),
         op_(op),
         task_(ctx.task_id()),
         cpu_(ctx.cpu()),
-        bytes_(bytes) {
+        context_(context),
+        root_task_(root_task),
+        bytes_(static_cast<std::int64_t>(bytes)) {
     if (obs_ == nullptr) return;
     obs_->count(task_, obs::Counter::coll_ops);
     t0_ = obs_->now();
@@ -50,9 +53,10 @@ class CollScope {
     e.kind = obs::EventKind::collective;
     e.task = task_;
     e.cpu = cpu_;
+    e.instance = context_;
     e.t0 = t0_;
     e.t1 = obs_->now();
-    e.arg = obs::coll_event_arg(op_, alg_);
+    e.arg = obs::coll_event_arg(op_, alg_, root_task_);
     e.arg2 = bytes_;
     obs_->record(e);
   }
@@ -73,28 +77,22 @@ class CollScope {
   obs::CollAlg alg_ = obs::CollAlg::p2p;
   int task_;
   int cpu_;
+  int context_;
+  int root_task_;
   std::int64_t bytes_;
   std::uint64_t t0_ = 0;
 };
-#define HLSMPC_OBS_COLL(op, bytes)                      \
-  CollScope obs_coll_scope_(*rt_, obs::CollOp::op, ctx, \
-                            static_cast<std::int64_t>(bytes))
-#define HLSMPC_OBS_COLL_ALG(alg) obs_coll_scope_.set_alg(alg)
-#else
-#define HLSMPC_OBS_COLL(op, bytes) (void)0
-#define HLSMPC_OBS_COLL_ALG(alg) (void)(alg)
-#endif
 
 }  // namespace
 
 void Comm::barrier(ult::TaskContext& ctx) {
-  HLSMPC_OBS_COLL(barrier, 0);
+  CollScope scope(*rt_, obs::CollOp::barrier, ctx, 0, coll_context_);
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   if (n == 1) return;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->barrier_alg());
+    scope.set_alg(shm_->barrier_alg());
     shm_->barrier(ctx, me);
     return;
   }
@@ -109,14 +107,15 @@ void Comm::barrier(ult::TaskContext& ctx) {
 
 void Comm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
                  int root) {
-  HLSMPC_OBS_COLL(bcast, bytes);
   check_rank(root, "bcast");
+  CollScope scope(*rt_, obs::CollOp::bcast, ctx, bytes, coll_context_,
+                  global_task(root));
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   if (n == 1) return;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    scope.set_alg(shm_->select(bytes));
     shm_->bcast(ctx, me, buf, bytes, root);
     return;
   }
@@ -135,14 +134,15 @@ void Comm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
 void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
                   std::size_t count, std::size_t elem_bytes,
                   const ReduceFn& fn, int root) {
-  HLSMPC_OBS_COLL(reduce, count * elem_bytes);
   check_rank(root, "reduce");
+  CollScope scope(*rt_, obs::CollOp::reduce, ctx, count * elem_bytes,
+                  coll_context_, global_task(root));
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    scope.set_alg(shm_->select(bytes));
     shm_->reduce(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn, root);
     return;
   }
@@ -189,9 +189,10 @@ void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
 void Comm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
                      void* recvbuf, std::size_t count, std::size_t elem_bytes,
                      const ReduceFn& fn) {
-  HLSMPC_OBS_COLL(allreduce, count * elem_bytes);
+  CollScope scope(*rt_, obs::CollOp::allreduce, ctx, count * elem_bytes,
+                  coll_context_);
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(count * elem_bytes));
+    scope.set_alg(shm_->select(count * elem_bytes));
     shm_->allreduce(ctx, rank(ctx), sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
@@ -201,7 +202,7 @@ void Comm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::gather(ult::TaskContext& ctx, const void* sendbuf,
                   std::size_t bytes, void* recvbuf, int root) {
-  HLSMPC_OBS_COLL(gather, bytes);
+  CollScope scope(*rt_, obs::CollOp::gather, ctx, bytes, coll_context_);
   std::vector<std::size_t> counts(static_cast<std::size_t>(size()), bytes);
   std::vector<std::size_t> displs(static_cast<std::size_t>(size()));
   for (int r = 0; r < size(); ++r) {
@@ -214,7 +215,7 @@ void Comm::gatherv(ult::TaskContext& ctx, const void* sendbuf,
                    std::size_t bytes, void* recvbuf,
                    std::span<const std::size_t> counts,
                    std::span<const std::size_t> displs, int root) {
-  HLSMPC_OBS_COLL(gatherv, bytes);
+  CollScope scope(*rt_, obs::CollOp::gatherv, ctx, bytes, coll_context_);
   check_rank(root, "gatherv");
   const int me = rank(ctx);
   const int n = size();
@@ -255,7 +256,7 @@ void Comm::gatherv(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::scatter(ult::TaskContext& ctx, const void* sendbuf,
                    std::size_t bytes, void* recvbuf, int root) {
-  HLSMPC_OBS_COLL(scatter, bytes);
+  CollScope scope(*rt_, obs::CollOp::scatter, ctx, bytes, coll_context_);
   check_rank(root, "scatter");
   const int me = rank(ctx);
   const int n = size();
@@ -277,9 +278,9 @@ void Comm::scatter(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::allgather(ult::TaskContext& ctx, const void* sendbuf,
                      std::size_t bytes, void* recvbuf) {
-  HLSMPC_OBS_COLL(allgather, bytes);
+  CollScope scope(*rt_, obs::CollOp::allgather, ctx, bytes, coll_context_);
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    scope.set_alg(shm_->select(bytes));
     shm_->allgather(ctx, rank(ctx), sendbuf, bytes, recvbuf);
     return;
   }
@@ -291,12 +292,13 @@ void Comm::allgather(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::alltoall(ult::TaskContext& ctx, const void* sendbuf,
                     std::size_t bytes_per_rank, void* recvbuf) {
-  HLSMPC_OBS_COLL(alltoall, bytes_per_rank);
+  CollScope scope(*rt_, obs::CollOp::alltoall, ctx, bytes_per_rank,
+                  coll_context_);
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(
+    scope.set_alg(
         shm_->select(bytes_per_rank * static_cast<std::size_t>(n)));
     shm_->alltoall(ctx, me, sendbuf, bytes_per_rank, recvbuf);
     return;
@@ -327,13 +329,14 @@ void Comm::alltoall(ult::TaskContext& ctx, const void* sendbuf,
 void Comm::scan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
                 std::size_t count, std::size_t elem_bytes,
                 const ReduceFn& fn) {
-  HLSMPC_OBS_COLL(scan, count * elem_bytes);
+  CollScope scope(*rt_, obs::CollOp::scan, ctx, count * elem_bytes,
+                  coll_context_);
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    scope.set_alg(shm_->select(bytes));
     shm_->scan(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
@@ -364,13 +367,14 @@ void Comm::scan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
 void Comm::exscan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
                   std::size_t count, std::size_t elem_bytes,
                   const ReduceFn& fn) {
-  HLSMPC_OBS_COLL(exscan, count * elem_bytes);
+  CollScope scope(*rt_, obs::CollOp::exscan, ctx, count * elem_bytes,
+                  coll_context_);
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    scope.set_alg(shm_->select(bytes));
     shm_->exscan(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
@@ -404,12 +408,13 @@ void Comm::exscan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
 void Comm::reduce_scatter_block(ult::TaskContext& ctx, const void* sendbuf,
                                 void* recvbuf, std::size_t count,
                                 std::size_t elem_bytes, const ReduceFn& fn) {
-  HLSMPC_OBS_COLL(reduce_scatter, count * elem_bytes);
+  CollScope scope(*rt_, obs::CollOp::reduce_scatter, ctx, count * elem_bytes,
+                  coll_context_);
   const int me = rank(ctx);
   const int n = size();
   const std::size_t block = count * elem_bytes;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(block * static_cast<std::size_t>(n)));
+    scope.set_alg(shm_->select(block * static_cast<std::size_t>(n)));
     shm_->reduce_scatter_block(ctx, me, sendbuf, recvbuf, count, elem_bytes,
                                fn);
     return;

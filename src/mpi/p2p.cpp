@@ -1,7 +1,7 @@
 // Point-to-point layer: MPI semantics over the Transport abstraction.
 //
-// Comm validates arguments, stamps rank labels, and feeds the trace /
-// obs hooks; the actual matching and byte movement happen inside the
+// Comm validates arguments, stamps rank labels, and records p2p obs
+// events; the actual matching and byte movement happen inside the
 // runtime's Transport (shm_transport.cpp for the intra-node engine).
 #include "mpi/comm.hpp"
 #include "mpi/runtime.hpp"
@@ -11,10 +11,8 @@ namespace hlsmpc::mpi {
 
 namespace {
 
-#if HLSMPC_OBS_ENABLED
-/// Instant p2p event (send initiated / receive completed), mirroring the
-/// TraceHook callbacks so obs sinks see the same stream hb::RuntimeTracer
-/// consumes.
+/// Instant p2p event (send initiated / receive completed): the stream
+/// obs sinks such as hb::RuntimeTracer consume.
 void obs_p2p(obs::Recorder* obs, obs::EventKind kind, int task, int cpu,
              int peer, int context, int tag) {
   if (obs == nullptr) return;
@@ -31,7 +29,6 @@ void obs_p2p(obs::Recorder* obs, obs::EventKind kind, int task, int cpu,
            static_cast<std::int64_t>(static_cast<std::uint32_t>(tag));
   obs->record(e);
 }
-#endif
 
 }  // namespace
 
@@ -39,13 +36,8 @@ Request Comm::isend_ctx(ult::TaskContext& ctx, const void* buf,
                         std::size_t bytes, int dst, int tag, int context) {
   check_rank(dst, "send");
   const int me = rank(ctx);
-  if (TraceHook* hook = rt_->trace_hook()) {
-    hook->on_send(ctx.task_id(), global_task(dst), context, tag);
-  }
-#if HLSMPC_OBS_ENABLED
   obs_p2p(rt_->obs(), obs::EventKind::p2p_send, ctx.task_id(), ctx.cpu(),
           global_task(dst), context, tag);
-#endif
   // The message is stamped with the sender's comm-local rank (matching is
   // per communicator via the context id); the endpoint is the
   // destination's node-local task id, which indexes the shm mailboxes.
@@ -82,15 +74,9 @@ void Comm::wait(ult::TaskContext& ctx, Request& req, Status* status) {
     if (status != nullptr) *status = st->status;
   }
   if (st->trace_is_recv && st->status.source >= 0) {
-    if (TraceHook* hook = rt_->trace_hook()) {
-      hook->on_recv(ctx.task_id(), global_task(st->status.source),
-                    st->trace_context, st->status.tag);
-    }
-#if HLSMPC_OBS_ENABLED
     obs_p2p(rt_->obs(), obs::EventKind::p2p_recv, ctx.task_id(), ctx.cpu(),
             global_task(st->status.source), st->trace_context,
             st->status.tag);
-#endif
   }
   req.state().reset();
 }

@@ -50,7 +50,7 @@ struct RequestState {
   /// supervision): transport_wait() rethrows these as NodeDeadError so
   /// cluster code can name the first unreachable node.
   int error_node = -1;
-  /// Tracing metadata: receives are reported to the TraceHook at wait()
+  /// Tracing metadata: a receive records its obs p2p_recv event at wait()
   /// time (when the synchronization takes effect and the source is
   /// resolved).
   bool trace_is_recv = false;

@@ -9,20 +9,14 @@
 // into per-task counters and bounded ring buffers, and further sinks can
 // be chained behind it (the happens-before tracer in src/hb/ is one).
 //
-// The whole layer sits behind the compile-time switch HLSMPC_OBS (CMake
-// option; macro HLSMPC_OBS_ENABLED). When the switch is off the types
-// still exist — exporters and offline tools keep compiling — but every
-// instrumentation site in the runtime is compiled out, so the hot-path
-// numbers of a stripped build are bit-identical to a pre-observability
-// build (verified by a symbol check on the hls archive, see tests/).
+// The layer is always compiled in. Every instrumentation site is guarded
+// at run time by a null-recorder check, and RecorderOptions::ring_capacity
+// = 0 drops the event rings while counters and chained sinks keep working.
 #pragma once
 
 #include <array>
 #include <cstdint>
 
-#ifndef HLSMPC_OBS_ENABLED
-#define HLSMPC_OBS_ENABLED 1
-#endif
 
 namespace hlsmpc::obs {
 
@@ -82,7 +76,9 @@ enum class EventKind : std::uint8_t {
   nowait,       ///< single-nowait site (instant; flag = claimed)
   migration,    ///< MPC_Move stall: enter -> re-pin (flag = accepted)
   first_touch,  ///< lazy region materialization (arg = bytes)
-  collective,   ///< one MPI collective call (arg = CollOp | CollAlg << 8)
+  collective,   ///< one MPI collective call (arg = coll_event_arg: op,
+                ///< algorithm, root task; arg2 = bytes; instance = the
+                ///< communicator's collective context)
   p2p_send,     ///< send initiated (arg = peer task, arg2 = ctx<<32|tag)
   p2p_recv,     ///< receive completed (arg = peer task, arg2 = ctx<<32|tag)
   ctx_switch,   ///< fiber resumed on a worker (arg = worker)
@@ -135,15 +131,23 @@ enum class CollAlg : std::int8_t { p2p, shm_flat, shm_hier, shm_pipelined };
 
 const char* to_string(CollAlg alg);
 
-inline constexpr std::int64_t coll_event_arg(CollOp op, CollAlg alg) {
+/// Event::arg of a collective: op in the low byte, algorithm in the
+/// second, and from bit 16 the global task id of the root (bcast and
+/// reduce; 0 for the others).
+inline constexpr std::int64_t coll_event_arg(CollOp op, CollAlg alg,
+                                             int root_task = 0) {
   return static_cast<std::int64_t>(op) |
-         (static_cast<std::int64_t>(alg) << 8);
+         (static_cast<std::int64_t>(alg) << 8) |
+         (static_cast<std::int64_t>(root_task) << 16);
 }
 inline constexpr CollOp coll_op_of(std::int64_t arg) {
   return static_cast<CollOp>(arg & 0xff);
 }
 inline constexpr CollAlg coll_alg_of(std::int64_t arg) {
   return static_cast<CollAlg>((arg >> 8) & 0xff);
+}
+inline constexpr int coll_root_of(std::int64_t arg) {
+  return static_cast<int>(arg >> 16);
 }
 
 /// One observable runtime step. 48 bytes; rings of these are per-task.
@@ -154,6 +158,7 @@ struct Event {
   int task = -1;
   int cpu = -1;
   int instance = -1;        ///< scope instance index, -1 when not scoped
+                            ///< (rma: window id; collective: context)
   std::uint64_t t0 = 0;     ///< ns since the recorder's epoch
   std::uint64_t t1 = 0;     ///< == t0 for instant events
   std::int64_t arg = 0;     ///< kind-specific payload (bytes, peer, op...)
@@ -161,6 +166,7 @@ struct Event {
 
   std::uint64_t duration_ns() const { return t1 - t0; }
 };
+static_assert(sizeof(Event) == 48);
 
 /// Receives every recorded event. May be called concurrently from all
 /// tasks; implementations synchronize internally. Install sinks before

@@ -8,19 +8,11 @@
 namespace hlsmpc::ult {
 
 void Scheduler::set_obs(obs::Recorder* obs) {
-#if HLSMPC_OBS_ENABLED
   obs_ = obs;
-#else
-  (void)obs;
-#endif
 }
 
 void FiberExecutor::set_obs(obs::Recorder* obs) {
-#if HLSMPC_OBS_ENABLED
   obs_ = obs;
-#else
-  (void)obs;
-#endif
 }
 
 Scheduler::Scheduler(int num_workers) {
@@ -92,7 +84,6 @@ void Scheduler::worker_loop(int index) {
       w.ready.pop_front();
     }
     bool finished = false;
-#if HLSMPC_OBS_ENABLED
     // Counting from the worker is safe: the task's fiber resumes on this
     // very thread next, so the bump is sequenced before the task's own
     // writes to its block (still effectively single-writer).
@@ -107,7 +98,6 @@ void Scheduler::worker_loop(int index) {
       e.arg = index;
       obs_->record(e);
     }
-#endif
     try {
       finished = task->fiber->resume();
     } catch (...) {
@@ -168,9 +158,7 @@ void FiberExecutor::run(int n, const std::vector<int>& pins,
     throw std::invalid_argument("FiberExecutor: workers.size() != n");
   }
   Scheduler sched(num_workers_);
-#if HLSMPC_OBS_ENABLED
   sched.set_obs(obs_);
-#endif
   for (int i = 0; i < n; ++i) {
     const auto k = static_cast<std::size_t>(i);
     sched.spawn(workers[k] % num_workers_, i, pins[k],

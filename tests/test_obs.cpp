@@ -265,7 +265,7 @@ TEST(ObsRuntime, CountsDirectivesAndStorage) {
   topo::Machine m = topo::Machine::generic(1, 2);
   hls::Runtime rt(m, 2);
   obs::Recorder* rec = rt.obs();
-  if (rec == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
+  ASSERT_NE(rec, nullptr);
 
   hls::ModuleBuilder mb(rt.registry(), "mod");
   auto v = hls::add_var<int>(mb, "v", topo::node_scope());
@@ -329,7 +329,7 @@ TEST(ObsRuntime, MigrationCountsAcceptAndReject) {
   topo::Machine m = topo::Machine::generic(1, 2);
   hls::Runtime rt(m, 2);
   obs::Recorder* rec = rt.obs();
-  if (rec == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
+  ASSERT_NE(rec, nullptr);
 
   hls::ModuleBuilder mb(rt.registry(), "mod");
   auto v = hls::add_var<int>(mb, "v", topo::core_scope());
@@ -357,7 +357,7 @@ TEST(ObsRuntime, SharedRecorderViaOptionsAndSinkChain) {
   CollectingSink sink;
   hls::Runtime rt(m, 2,
                   hls::Runtime::Options{.obs = &shared, .obs_sink = &sink});
-  if (rt.obs() == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
+  ASSERT_NE(rt.obs(), nullptr);
   EXPECT_EQ(rt.obs(), &shared);
 
   hls::ModuleBuilder mb(rt.registry(), "mod");
@@ -386,7 +386,7 @@ TEST(ObsExplorer, EpisodeCountersInvariantAcrossSchedules) {
     topo::Machine m = topo::Machine::generic(1, 4);
     hls::Runtime rt(m, kTasks);
     obs::Recorder* rec = rt.obs();
-    if (rec == nullptr) return;  // OFF build: nothing to check
+    ASSERT_NE(rec, nullptr);
     hls::ModuleBuilder mb(rt.registry(), "mod");
     auto v = hls::add_var<int>(mb, "v", topo::node_scope());
     mb.commit();
@@ -434,7 +434,7 @@ TEST(ObsExplorer, SameScheduleSameCounters) {
   auto run_once = [](std::vector<std::uint64_t>* out) {
     topo::Machine m = topo::Machine::generic(1, 2);
     hls::Runtime rt(m, 2);
-    if (rt.obs() == nullptr) return false;
+    ASSERT_NE(rt.obs(), nullptr);
     hls::ModuleBuilder mb(rt.registry(), "mod");
     auto v = hls::add_var<int>(mb, "v", topo::node_scope());
     mb.commit();
@@ -451,12 +451,11 @@ TEST(ObsExplorer, SameScheduleSameCounters) {
     for (const auto& t : s.tasks) {
       out->insert(out->end(), t.c.begin(), t.c.end());
     }
-    return true;
   };
   std::vector<std::uint64_t> a;
   std::vector<std::uint64_t> b;
-  if (!run_once(&a)) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
-  ASSERT_TRUE(run_once(&b));
+  run_once(&a);
+  run_once(&b);
   EXPECT_EQ(a, b);
 }
 
@@ -468,7 +467,7 @@ TEST(ObsNode, SharedRecorderSeesMpiAndHls) {
   opts.mpi.nranks = 2;
   mpc::Node node(m, opts);
   obs::Recorder* rec = node.obs();
-  if (rec == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
+  ASSERT_NE(rec, nullptr);
   EXPECT_EQ(node.mpi_rt().obs(), rec);
 
   hls::ArrayVar<double> shared;
@@ -506,15 +505,15 @@ TEST(ObsNode, SharedRecorderSeesMpiAndHls) {
 
 TEST(ObsNode, RuntimeTracerRetrofitsAsSink) {
   // hb::RuntimeTracer attached through the obs event stream (NodeOptions
-  // obs_sink) decodes p2p events into the same records the TraceHook path
-  // produces — the happens-before advisor runs off the obs stream.
+  // obs_sink) decodes p2p events into send/recv records — the
+  // happens-before advisor runs off the obs stream.
   topo::Machine m = topo::Machine::generic(1, 2);
   hb::RuntimeTracer tracer(2);
   mpc::NodeOptions opts;
   opts.mpi.nranks = 2;
   opts.obs_sink = &tracer;
   mpc::Node node(m, opts);
-  if (node.obs() == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
+  ASSERT_NE(node.obs(), nullptr);
 
   node.run([&](mpi::Comm& world, hls::TaskView& view) {
     auto& ctx = view.context();

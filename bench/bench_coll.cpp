@@ -379,6 +379,25 @@ void BM_AllreducePipelineSpeedup(benchmark::State& state) {
 BENCHMARK(BM_AllreducePipelineSpeedup)
     ->Arg(1024)->Arg(1 << 20)->Arg(4 << 20)->UseManualTime()->Iterations(1);
 
+/// One elementwise uint64 sum fold of `bytes` through make_reduce_fn:
+/// the kernel every leader and shm fold runs per incoming contribution.
+void BM_ReduceFold(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0)) / 8;
+  std::vector<std::uint64_t> acc(count), in(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    acc[i] = i * 0x9e3779b97f4a7c15ull;
+    in[i] = i ^ 0x5bd1e995u;
+  }
+  const mpi::ReduceFn fn = mpi::make_reduce_fn<std::uint64_t>(mpi::Op::sum);
+  for (auto _ : state) {
+    fn(acc.data(), in.data(), count);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ReduceFold)->Arg(320 * 1024);
+
 }  // namespace
 
 // main: bench/gbench_main.cpp (stamps hlsmpc_build_type into the context)

@@ -5,7 +5,9 @@
 //    hierarchical algorithm (design decision 2 in DESIGN.md),
 //  - single (modified barrier, §IV.B) vs the naive barrier/flag/barrier
 //    formulation it replaces (design decision 1),
-//  - single nowait (generation counters).
+//  - single nowait (generation counters),
+//  - one fiber resume + yield pair (the task switch under every
+//    cooperative wait, paper §IV).
 //
 // Multi-threaded numbers are relative: this host may oversubscribe the
 // benchmark threads onto fewer physical cores.
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "hls/hls.hpp"
+#include "ult/fiber.hpp"
 #include "ult/task_context.hpp"
 
 using namespace hlsmpc;
@@ -195,6 +198,22 @@ void BM_SingleNowait(benchmark::State& state) {
   probe.report(state);
 }
 BENCHMARK(BM_SingleNowait)->Threads(8)->UseRealTime();
+
+void BM_FiberYieldRoundTrip(benchmark::State& state) {
+  std::uint64_t yields = 0;
+  bool stop = false;
+  ult::Fiber f([&] {
+    while (!stop) {
+      ++yields;
+      ult::Fiber::yield();
+    }
+  });
+  for (auto _ : state) f.resume();
+  stop = true;
+  f.resume();
+  benchmark::DoNotOptimize(yields);
+}
+BENCHMARK(BM_FiberYieldRoundTrip);
 
 }  // namespace
 

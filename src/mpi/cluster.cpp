@@ -139,6 +139,7 @@ ClusterComm::ClusterComm(SimCluster& cluster)
       rpn_(cluster.ranks_per_node()),
       nranks_(cluster.nranks()),
       coll_seq_(static_cast<std::size_t>(cluster.nranks()), 0),
+      scratch_(static_cast<std::size_t>(cluster.nranks())),
       shrink_round_timeout_(cluster.options().shrink_round_timeout) {
   node_world_.reserve(static_cast<std::size_t>(nnodes_));
   for (int n = 0; n < nnodes_; ++n) {
@@ -163,6 +164,12 @@ int ClusterComm::pos_of(const View& v, int node) {
   const auto it = std::lower_bound(v.live.begin(), v.live.end(), node);
   if (it == v.live.end() || *it != node) return -1;
   return static_cast<int>(it - v.live.begin());
+}
+
+std::byte* ClusterComm::scratch(int grank, std::size_t bytes) {
+  std::vector<std::byte>& s = scratch_[static_cast<std::size_t>(grank)];
+  if (s.size() < bytes) s.resize(bytes);
+  return s.data();
 }
 
 int ClusterComm::next_coll_tag(int grank, std::uint64_t epoch) {
@@ -375,27 +382,25 @@ void ClusterComm::reduce(ult::TaskContext& ctx, const void* sendbuf,
   CollCall c = enter(ctx, "cluster reduce", root);
   const std::size_t bytes = count * elem_bytes;
   // Local tier: fold the node's contributions (ascending local = ascending
-  // global within the node) into the leader's partial.
-  std::vector<std::byte> partial;
-  if (c.local == 0) partial.resize(bytes);
-  c.nc.reduce(c.lctx, sendbuf, c.local == 0 ? partial.data() : nullptr,
-              count, elem_bytes, fn, 0);
+  // global within the node) into the leader's partial, the first half of
+  // its scratch; the second half takes the leader tier's incoming
+  // partials.
+  std::byte* partial = c.local == 0 ? scratch(c.g, 2 * bytes) : nullptr;
+  c.nc.reduce(c.lctx, sendbuf, partial, count, elem_bytes, fn, 0);
 
   const int root_leader = leader_of(c.view->live[0]);
   if (c.local == 0) {
-    {
-      std::vector<std::byte> incoming(bytes);  // scoped: see allreduce
-      coll::ordered_fold(
-          c.pos, c.npos, partial.data(), incoming.data(), count, fn,
-          [&](int p) { return to_leader(c, p, partial.data(), bytes); },
-          [&](int p) { return from_leader(c, p, incoming.data(), bytes); });
-    }
+    std::byte* incoming = partial + bytes;
+    coll::ordered_fold(
+        c.pos, c.npos, partial, incoming, count, fn,
+        [&](int p) { return to_leader(c, p, partial, bytes); },
+        [&](int p) { return from_leader(c, p, incoming, bytes); });
     if (c.pos == 0) {
       // Deliver the folded total to the global root.
       if (c.g == root) {
-        if (bytes > 0) std::memcpy(recvbuf, partial.data(), bytes);
+        if (bytes > 0) std::memcpy(recvbuf, partial, bytes);
       } else {
-        coll_send(ctx, c.g, root, partial.data(), bytes, c.tag);
+        coll_send(ctx, c.g, root, partial, bytes, c.tag);
       }
     }
   }
@@ -417,19 +422,13 @@ void ClusterComm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
   c.nc.reduce(c.lctx, sendbuf, c.local == 0 ? recvbuf : nullptr, count,
               elem_bytes, fn, 0);
   if (c.local == 0) {
-    {
-      // Scoped to the fold, so it is freed before the bcast allocates
-      // the fabric's wire copies. Kept alive through the bcast, a
-      // 320 KiB allreduce over 8x2 ranks took ~25% longer per step when
-      // all 8 leaders shared one fiber worker; with the leaders spread
-      // over 4 workers the two measure the same (perfbench
-      // cluster_coll, 4-vCPU x86-64 host).
-      std::vector<std::byte> incoming(bytes);
-      coll::ordered_fold(
-          c.pos, c.npos, recvbuf, incoming.data(), count, fn,
-          [&](int p) { return to_leader(c, p, recvbuf, bytes); },
-          [&](int p) { return from_leader(c, p, incoming.data(), bytes); });
-    }
+    // The leader's scratch takes the incoming partials, so a repeated
+    // allreduce allocates nothing on the leader tier.
+    std::byte* incoming = scratch(c.g, bytes);
+    coll::ordered_fold(
+        c.pos, c.npos, recvbuf, incoming, count, fn,
+        [&](int p) { return to_leader(c, p, recvbuf, bytes); },
+        [&](int p) { return from_leader(c, p, incoming, bytes); });
     coll::binomial_bcast(
         c.pos, c.npos, 0,
         [&](int p) { return to_leader(c, p, recvbuf, bytes); },

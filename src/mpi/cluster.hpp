@@ -299,6 +299,8 @@ class ClusterComm {
   /// change only at collectives' edges, so per-rank counters agree and
   /// pre-shrink stragglers can never match post-shrink collectives).
   int next_coll_tag(int grank, std::uint64_t epoch);
+  /// At least `bytes` of `grank`'s own leader-tier scratch.
+  std::byte* scratch(int grank, std::size_t bytes);
   /// Swap in the post-agreement view; first leader wins (keyed on the
   /// epoch the agreement ran under), later leaders see the installed one.
   void install_view(std::uint64_t expected_epoch, std::uint64_t dead_mask);
@@ -311,6 +313,9 @@ class ClusterComm {
   int rpn_ = 0;
   int nranks_ = 0;
   std::vector<std::uint32_t> coll_seq_;  // per global rank
+  /// Per global rank: staging for the leader tier's folds. Grows to the
+  /// largest payload, never shrinks; only its own rank touches it.
+  std::vector<std::vector<std::byte>> scratch_;
   mutable std::mutex view_mu_;
   std::shared_ptr<const View> view_;
   std::unique_ptr<GateSlot[]> gate_;

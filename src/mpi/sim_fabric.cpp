@@ -30,6 +30,8 @@ SimFabricTransport::SimFabricTransport(Options opts) : opts_(opts) {
   for (int i = 0; i < opts_.nranks; ++i) {
     mailboxes_.push_back(std::make_unique<detail::Mailbox>());
   }
+  spares_ =
+      std::make_unique<WireSpares[]>(static_cast<std::size_t>(opts_.nranks));
   dead_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(nnodes_));
   flap_ops_ = std::make_unique<std::atomic<int>[]>(
@@ -46,6 +48,15 @@ detail::Mailbox& SimFabricTransport::mailbox(int ep, const char* what) {
                    std::to_string(ep));
   }
   return *mailboxes_[static_cast<std::size_t>(ep)];
+}
+
+std::size_t SimFabricTransport::spare_wire_bytes(int ep) {
+  detail::Mailbox& mb = mailbox(ep, "fabric spare_wire_bytes");
+  std::lock_guard<std::mutex> lk(mb.mu);
+  const WireSpares& sp = spares_[static_cast<std::size_t>(ep)];
+  std::size_t total = 0;
+  for (int i = 0; i < sp.n; ++i) total += sp.bufs[i].capacity();
+  return total;
 }
 
 void SimFabricTransport::throw_node_dead(int node, const char* what) const {
@@ -174,12 +185,15 @@ Request SimFabricTransport::isend(ult::TaskContext& ctx, int src, int dst_ep,
   }
 
   // Always-eager: capture the payload into an owned buffer ("on the
-  // wire") and complete the send immediately.
+  // wire") and complete the send immediately. The buffer is one this
+  // endpoint's receives drained earlier when it has one.
   detail::UnexpectedMsg msg;
   msg.src = src;
   msg.tag = tag;
   msg.context = context;
   msg.bytes = bytes;
+  WireSpares& sp = spares_[static_cast<std::size_t>(dst_ep)];
+  if (bytes > 0 && sp.n > 0) msg.owned = std::move(sp.bufs[--sp.n]);
   msg.owned.assign(static_cast<const std::byte*>(buf),
                    static_cast<const std::byte*>(buf) + bytes);
   msg.has_owned = true;
@@ -231,10 +245,15 @@ Request SimFabricTransport::irecv(ult::TaskContext& ctx, int me_ep, void* buf,
       req->complete_error("recv truncated: message of " +
                           std::to_string(msg.bytes) + " bytes into " +
                           std::to_string(capacity) + " byte buffer");
-      return Request(req);
+    } else {
+      if (msg.bytes > 0) std::memcpy(buf, msg.data(), msg.bytes);
+      req->complete(Status{msg.src, msg.tag, msg.bytes});
     }
-    if (msg.bytes > 0) std::memcpy(buf, msg.data(), msg.bytes);
-    req->complete(Status{msg.src, msg.tag, msg.bytes});
+    if (msg.owned.capacity() > 0) {
+      lk.lock();
+      WireSpares& sp = spares_[static_cast<std::size_t>(me_ep)];
+      if (sp.n < kWireSpares) sp.bufs[sp.n++] = std::move(msg.owned);
+    }
     return Request(req);
   }
 
@@ -356,6 +375,7 @@ void SimFabricTransport::revive_node(int node) {
     mb.unexpected.clear();
     mb.unexpected_bytes = 0;
     mb.posted.clear();
+    spares_[static_cast<std::size_t>(ep)] = WireSpares{};
   }
   int p = node;
   poison_.compare_exchange_strong(p, -1, std::memory_order_acq_rel);

@@ -8,7 +8,10 @@
 //     payload is captured into an owned buffer at send time (or copied
 //     straight into a posted receive), exactly like bytes leaving through
 //     a NIC. Sends therefore always complete immediately (buffered
-//     semantics).
+//     semantics). A receive that drains such a buffer hands it back to
+//     its endpoint, which keeps up to kWireSpares of them for the next
+//     captures, so a steady stream of large messages reuses warm pages
+//     instead of faulting in fresh ones.
 //   - Capacity is bounded per endpoint when Options::limits says so; an
 //     exhausted queue refuses the send with
 //     TransportError(transport_exhausted) before enqueuing anything.
@@ -35,6 +38,7 @@
 //     revive_node() readmits a respawned replacement.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -135,6 +139,10 @@ class SimFabricTransport : public Transport {
   /// stats().link_flaps.
   void flap_link(int node, int ops);
 
+  /// Capacity of the drained wire buffers endpoint `ep` keeps for its
+  /// next eager captures (at most kWireSpares of them).
+  std::size_t spare_wire_bytes(int ep);
+
  private:
   detail::Mailbox& mailbox(int ep, const char* what);
   void throw_node_dead(int node, const char* what) const;
@@ -146,11 +154,20 @@ class SimFabricTransport : public Transport {
                       const char* what);
   void sweep_posted(int dead_node);
 
+  /// Drained payload buffers kept per endpoint for the next captures.
+  static constexpr int kWireSpares = 2;
+  /// One endpoint's spare wire buffers, guarded by its Mailbox::mu.
+  struct alignas(64) WireSpares {
+    std::array<std::vector<std::byte>, kWireSpares> bufs;
+    int n = 0;
+  };
+
   Options opts_;
   int nnodes_ = 0;
   /// Retry-burst counter feeding jitter_seed() (see retry.hpp).
   std::atomic<std::uint64_t> flap_epoch_{0};
   std::vector<std::unique_ptr<detail::Mailbox>> mailboxes_;
+  std::unique_ptr<WireSpares[]> spares_;  // [endpoint]
   std::unique_ptr<std::atomic<bool>[]> dead_;
   std::unique_ptr<std::atomic<int>[]> flap_ops_;
   std::atomic<int> first_dead_{-1};

@@ -179,13 +179,39 @@ struct CollConfig {
   bool pipeline_yield = true;
 };
 
+/// The fold of one (T, op) pair. `O` is a constant, so apply_op's switch
+/// folds away and the loop vectorizes; a switch on a run-time op inside
+/// the loop blocks that (GCC does not unswitch it).
+template <typename T, Op O>
+void fold_kernel(void* inout, const void* in, std::size_t count) {
+  T* a = static_cast<T*>(inout);
+  const T* b = static_cast<const T*>(in);
+  for (std::size_t i = 0; i < count; ++i) apply_op(O, a[i], b[i]);
+}
+
+/// Decides the op once and returns its fold kernel. A bitwise op on a
+/// floating T still throws from the kernel, on its first element.
 template <typename T>
 ReduceFn make_reduce_fn(Op op) {
-  return [op](void* inout, const void* in, std::size_t count) {
-    T* a = static_cast<T*>(inout);
-    const T* b = static_cast<const T*>(in);
-    for (std::size_t i = 0; i < count; ++i) apply_op(op, a[i], b[i]);
-  };
+  switch (op) {
+    case Op::sum:
+      return fold_kernel<T, Op::sum>;
+    case Op::prod:
+      return fold_kernel<T, Op::prod>;
+    case Op::min:
+      return fold_kernel<T, Op::min>;
+    case Op::max:
+      return fold_kernel<T, Op::max>;
+    case Op::land:
+      return fold_kernel<T, Op::land>;
+    case Op::lor:
+      return fold_kernel<T, Op::lor>;
+    case Op::band:
+      return fold_kernel<T, Op::band>;
+    case Op::bor:
+      return fold_kernel<T, Op::bor>;
+  }
+  throw MpiError("make_reduce_fn: unknown op");
 }
 
 }  // namespace hlsmpc::mpi

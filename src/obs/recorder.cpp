@@ -1,6 +1,8 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 namespace hlsmpc::obs {
@@ -178,6 +180,9 @@ Recorder::Recorder(RecorderOptions opts)
       num_scopes_(std::max(opts.num_scopes, 0)),
       ring_capacity_(opts.ring_capacity),
       blocks_(static_cast<std::size_t>(std::max(opts.ntasks, 1))) {
+  if (ring_capacity_ > SIZE_MAX / sizeof(Event)) {
+    throw std::length_error("Recorder: ring_capacity too large");
+  }
   for (TaskBlock& b : blocks_) {
     if (num_scopes_ > 0) {
       b.scope_bytes =
@@ -187,7 +192,10 @@ Recorder::Recorder(RecorderOptions opts)
           std::vector<std::atomic<std::uint64_t>>(
               static_cast<std::size_t>(num_scopes_));
     }
-    b.ring.resize(ring_capacity_);
+    if (ring_capacity_ > 0) {
+      b.ring.reset(
+          static_cast<Event*>(::operator new(ring_capacity_ * sizeof(Event))));
+    }
   }
 }
 
@@ -206,7 +214,8 @@ void Recorder::record(const Event& e) {
   if (static_cast<unsigned>(e.task) < blocks_.size() && ring_capacity_ > 0) {
     TaskBlock& b = blocks_[static_cast<std::size_t>(e.task)];
     const std::uint64_t n = b.pushed.load(std::memory_order_relaxed);
-    b.ring[static_cast<std::size_t>(n % ring_capacity_)] = e;
+    std::construct_at(&b.ring[static_cast<std::size_t>(n % ring_capacity_)],
+                      e);
     // Publish after the slot write so a quiescent reader that acquires
     // `pushed` sees the full entry.
     b.pushed.store(n + 1, std::memory_order_release);

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -112,11 +113,17 @@ class Recorder final : public Sink {
   std::uint64_t dropped(int task) const;
 
  private:
+  struct RingFree {
+    void operator()(Event* p) const { ::operator delete(p); }
+  };
   struct alignas(64) TaskBlock {
     std::array<std::atomic<std::uint64_t>, kNumCounters> counters{};
     std::vector<std::atomic<std::uint64_t>> scope_bytes;    // [sid]
     std::vector<std::atomic<std::uint64_t>> scope_touches;  // [sid]
-    std::vector<Event> ring;
+    /// ring_capacity slots, allocated up front but never written before
+    /// record() constructs a slot, so the pages fault in as the ring
+    /// fills; events() reads pushed slots only.
+    std::unique_ptr<Event[], RingFree> ring;
     std::atomic<std::uint64_t> pushed{0};
   };
 

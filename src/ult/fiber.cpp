@@ -1,6 +1,9 @@
 #include "ult/fiber.hpp"
 
-// Sanitizer fiber annotations. ucontext switches move execution between
+#include <cstdint>
+#include <cstring>
+
+// Sanitizer fiber annotations. Fiber switches move execution between
 // stacks without the sanitizers noticing: TSan would attribute the events
 // of every fiber on a kernel thread to one logical thread (masking or
 // fabricating races), and ASan would flag stack frames of a resumed fiber
@@ -27,6 +30,12 @@
 #endif
 #ifdef HLSMPC_ASAN
 #include <sanitizer/common_interface_defs.h>
+#endif
+
+#ifdef HLSMPC_FIBER_ASM_SWITCH
+// fiber_switch.S
+extern "C" void hlsmpc_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void hlsmpc_fiber_entry();
 #endif
 
 namespace hlsmpc::ult {
@@ -107,6 +116,20 @@ Fiber::Fiber(Body body, std::size_t stack_bytes)
 
 Fiber::~Fiber() { san_destroy(); }
 
+#ifdef HLSMPC_FIBER_ASM_SWITCH
+
+void Fiber::switch_in() { hlsmpc_fiber_switch(&return_sp_, sp_); }
+
+void Fiber::switch_out() { hlsmpc_fiber_switch(&sp_, return_sp_); }
+
+#else
+
+void Fiber::switch_in() { swapcontext(&return_ctx_, &ctx_); }
+
+void Fiber::switch_out() { swapcontext(&ctx_, &return_ctx_); }
+
+#endif
+
 void Fiber::trampoline() {
   Fiber* self = g_current_fiber;
   self->san_land_in_fiber();
@@ -116,10 +139,10 @@ void Fiber::trampoline() {
     self->error_ = std::current_exception();
   }
   self->done_ = true;
-  // Return to the resumer; ctx_'s uc_link is unused because we always
-  // swap back explicitly (swapcontext keeps the error path uniform).
+  // Return to the resumer for good; the stack is never resumed again.
   self->san_leave_fiber(/*dying=*/true);
-  swapcontext(&self->ctx_, &self->return_ctx_);
+  self->switch_out();
+  __builtin_unreachable();
 }
 
 bool Fiber::resume() {
@@ -128,6 +151,31 @@ bool Fiber::resume() {
     throw std::logic_error("Fiber::resume: nested fibers are not supported");
   }
   if (!started_) {
+#ifdef HLSMPC_FIBER_ASM_SWITCH
+    // The first frame, in the layout hlsmpc_fiber_switch pops: FP control
+    // words, r15, r14, r13, r12, rbx, rbp, return address. The fiber
+    // starts with the resumer's FP control words, r12 = the entry
+    // function, rbp = 0 (ends frame-pointer walks), and "returns" into
+    // hlsmpc_fiber_entry with rsp at the 16-byte aligned stack top.
+    std::uint32_t mxcsr = 0;
+    std::uint16_t x87_cw = 0;
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    asm volatile("fnstcw %0" : "=m"(x87_cw));
+    const std::uint64_t frame[8] = {
+        mxcsr | std::uint64_t{x87_cw} << 32,
+        0,
+        0,
+        0,
+        reinterpret_cast<std::uintptr_t>(&Fiber::trampoline),
+        0,
+        0,
+        reinterpret_cast<std::uintptr_t>(&hlsmpc_fiber_entry)};
+    const std::uintptr_t top =
+        reinterpret_cast<std::uintptr_t>(stack_.get() + stack_bytes_) &
+        ~std::uintptr_t{15};
+    sp_ = reinterpret_cast<void*>(top - sizeof(frame));
+    std::memcpy(sp_, frame, sizeof(frame));
+#else
     if (getcontext(&ctx_) != 0) {
       throw std::runtime_error("Fiber: getcontext failed");
     }
@@ -135,12 +183,13 @@ bool Fiber::resume() {
     ctx_.uc_stack.ss_size = stack_bytes_;
     ctx_.uc_link = nullptr;
     makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
+#endif
     san_create();
     started_ = true;
   }
   g_current_fiber = this;
   san_enter_fiber();
-  swapcontext(&return_ctx_, &ctx_);
+  switch_in();
   san_land_in_thread();
   g_current_fiber = nullptr;
   if (done_ && error_) std::rethrow_exception(error_);
@@ -156,7 +205,7 @@ void Fiber::yield() {
   // restored by the next resume().
   g_current_fiber = nullptr;
   self->san_leave_fiber(/*dying=*/false);
-  swapcontext(&self->ctx_, &self->return_ctx_);
+  self->switch_out();
   self->san_land_in_fiber();
   g_current_fiber = self;
 }

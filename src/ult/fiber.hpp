@@ -1,4 +1,4 @@
-// Stackful user-level threads over POSIX ucontext.
+// Stackful user-level threads.
 //
 // A Fiber owns a private stack and a body function. resume() transfers
 // control from the calling kernel thread into the fiber; the fiber returns
@@ -6,9 +6,22 @@
 // inside. This is the mechanism MPC uses to run many MPI "tasks" per
 // kernel thread; the Scheduler (scheduler.hpp) multiplexes fibers over
 // per-core workers.
+//
+// Fiber switch. On x86-64 (System V, ELF) a switch is a short assembly
+// routine (fiber_switch.S) that saves only the callee-saved registers,
+// the MXCSR and the x87 control word: a rounding mode or exception mask
+// set inside a fiber stays with that fiber. Nothing else is switched and
+// no system call is made. In particular the signal mask is per kernel
+// thread, not per fiber: a mask changed inside a fiber stays in force on
+// whatever runs next on that worker, so fibers must not rely on
+// per-fiber signal masks. Other targets switch through POSIX ucontext.
 #pragma once
 
+#if defined(__x86_64__) && defined(__ELF__)
+#define HLSMPC_FIBER_ASM_SWITCH 1
+#else
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -43,6 +56,10 @@ class Fiber {
 
  private:
   static void trampoline();
+  /// Resumer side: save the resumer, continue the fiber.
+  void switch_in();
+  /// Fiber side: save the fiber, continue the resumer.
+  void switch_out();
   void san_create();
   void san_destroy();
   void san_enter_fiber();
@@ -53,8 +70,13 @@ class Fiber {
   Body body_;
   std::unique_ptr<std::byte[]> stack_;
   std::size_t stack_bytes_;
+#ifdef HLSMPC_FIBER_ASM_SWITCH
+  void* sp_ = nullptr;         ///< fiber's saved frame while switched out
+  void* return_sp_ = nullptr;  ///< resumer's saved frame while it runs
+#else
   ucontext_t ctx_{};
   ucontext_t return_ctx_{};
+#endif
   bool started_ = false;
   bool done_ = false;
   std::exception_ptr error_;

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mpi/runtime.hpp"
@@ -785,4 +791,93 @@ TEST(Mpi, StressManyMessagesFiberBackend) {
   });
   // Every rank id was received exactly 20 times.
   EXPECT_EQ(total.load(), 20 * (0 + 1 + 2 + 3 + 4 + 5));
+}
+
+// ---- fold kernels (make_reduce_fn) ----
+
+namespace {
+
+constexpr mpi::Op kAllOps[] = {mpi::Op::sum,  mpi::Op::prod, mpi::Op::min,
+                               mpi::Op::max,  mpi::Op::land, mpi::Op::lor,
+                               mpi::Op::band, mpi::Op::bor};
+
+/// Operands for one fold: small integers (no signed overflow in sum or
+/// prod) with zeros for land/lor, and for floating T also NaN, +-0 and
+/// +-inf, which min and max must treat exactly as apply_op does.
+template <typename T>
+std::vector<T> fold_operands(std::size_t count, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<T> v(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const int r = static_cast<int>(rng() % 101) - 50;
+    if constexpr (std::is_floating_point_v<T>) {
+      constexpr T specials[] = {std::numeric_limits<T>::quiet_NaN(), T(0),
+                                -T(0), std::numeric_limits<T>::infinity(),
+                                -std::numeric_limits<T>::infinity()};
+      v[i] = rng() % 4 == 0 ? specials[rng() % 5] : static_cast<T>(r) / 7;
+    } else if constexpr (std::is_signed_v<T>) {
+      v[i] = static_cast<T>(rng() % 5 == 0 ? 0 : r);
+    } else {
+      v[i] = rng() % 5 == 0 ? T(0)
+                            : static_cast<T>(std::uint64_t{rng()} << 32 | rng());
+    }
+  }
+  return v;
+}
+
+template <typename T>
+void expect_fold_kernels_match_apply_op(const char* type) {
+  for (mpi::Op op : kAllOps) {
+    const mpi::ReduceFn fn = mpi::make_reduce_fn<T>(op);
+    const bool bitwise = op == mpi::Op::band || op == mpi::Op::bor;
+    for (std::size_t count : {0, 1, 7, 8, 9, 40960}) {
+      SCOPED_TRACE(std::string(type) + " op " +
+                   std::to_string(static_cast<int>(op)) + " count " +
+                   std::to_string(count));
+      std::vector<T> a = fold_operands<T>(count, 17u + count);
+      const std::vector<T> b = fold_operands<T>(count, 91u + count);
+      if (std::is_floating_point_v<T> && bitwise) {
+        // Made without complaint; throws when it folds an element.
+        if (count == 0) {
+          EXPECT_NO_THROW(fn(a.data(), b.data(), count));
+        } else {
+          EXPECT_THROW(fn(a.data(), b.data(), count), mpi::MpiError);
+        }
+        continue;
+      }
+      std::vector<T> want = a;
+      for (std::size_t i = 0; i < count; ++i) mpi::apply_op(op, want[i], b[i]);
+      fn(a.data(), b.data(), count);
+      EXPECT_EQ(std::memcmp(a.data(), want.data(), count * sizeof(T)), 0);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ReduceFn, FoldKernelsMatchApplyOpBitForBit) {
+  expect_fold_kernels_match_apply_op<int>("int");
+  expect_fold_kernels_match_apply_op<long>("long");
+  expect_fold_kernels_match_apply_op<std::uint64_t>("uint64_t");
+  expect_fold_kernels_match_apply_op<float>("float");
+  expect_fold_kernels_match_apply_op<double>("double");
+}
+
+TEST(ReduceFn, MinMaxKeepApplyOpsNanAndSignedZeroRule) {
+  // The accumulator (left operand) wins every unordered or equal
+  // comparison: a NaN operand never replaces it, a NaN accumulator stays,
+  // and -0/+0 keep whichever the accumulator holds.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> acc = {1.0, nan, 0.0, -0.0, 0.0, -0.0};
+  const std::vector<double> in = {nan, 1.0, -0.0, 0.0, -0.0, 0.0};
+  for (mpi::Op op : {mpi::Op::min, mpi::Op::max}) {
+    std::vector<double> got = acc;
+    mpi::make_reduce_fn<double>(op)(got.data(), in.data(), got.size());
+    EXPECT_EQ(got[0], 1.0);
+    EXPECT_TRUE(std::isnan(got[1]));
+    EXPECT_FALSE(std::signbit(got[2]));
+    EXPECT_TRUE(std::signbit(got[3]));
+    EXPECT_FALSE(std::signbit(got[4]));
+    EXPECT_TRUE(std::signbit(got[5]));
+  }
 }

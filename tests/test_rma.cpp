@@ -425,8 +425,11 @@ TEST(RmaObs, CountersAndEpisodesRecorded) {
   o.nranks = n;
   o.obs = &rec;
   mpi::Runtime rt(machine, o);
+  // Rank 0's put and get (bytes 0-47 of rank 1's region) and rank 1's
+  // locked accumulate (bytes 64 on) share one fence epoch, so they must
+  // not overlap: a passive lock does not order against a fence-epoch put.
   std::vector<std::vector<std::uint8_t>> regions(n,
-                                                 std::vector<std::uint8_t>(64));
+                                                 std::vector<std::uint8_t>(96));
   rt.run([&](mpi::Comm& world, ult::TaskContext& ctx) {
     const int me = world.rank(ctx);
     auto& mine = regions[static_cast<std::size_t>(me)];
@@ -439,7 +442,7 @@ TEST(RmaObs, CountersAndEpisodesRecorded) {
     } else {
       const Mat m = contrib(1, 0);
       win.lock(ctx, me, rma::LockKind::exclusive, 1);
-      win.accumulate(ctx, me, &m, 1, sizeof(Mat), mat_fn(), 1, 32);
+      win.accumulate(ctx, me, &m, 1, sizeof(Mat), mat_fn(), 1, 64);
       win.unlock(ctx, me, 1);
     }
     win.fence(ctx, me);

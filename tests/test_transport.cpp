@@ -13,6 +13,7 @@
 // (coll_config_from_env) with their range clamps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -302,6 +303,48 @@ TEST_P(TransportConformance, LargePayloadRoundTrip) {
   mpi::transport_wait(c0_, s);
   mpi::transport_wait(c1_, r);
   EXPECT_EQ(in, out);
+}
+
+// ---- fabric wire buffers: drained captures are reused per endpoint ----
+
+TEST(SimFabric, ReusedWireBuffersCarryMessageBytesOnly) {
+  // Two rounds of a 320 KiB and a 1 KiB message queued at endpoint 1
+  // before either is received. In the second round both captures reuse
+  // the first round's drained buffers, so the 1 KiB message rides in a
+  // buffer sized for 320 KiB: the receive must still get exactly its
+  // 1 KiB, and the byte budget counts message bytes, not capacity.
+  constexpr std::size_t kBig = 320 * 1024;
+  constexpr std::size_t kSmall = 1024;
+  mpi::TransportLimits limits;
+  limits.max_unexpected_bytes = kBig + kSmall;
+  FabricHarness h(4, limits);
+  mpi::SimFabricTransport& fab = h.tr;
+  TestCtx c1{1}, c2{2};
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto fill = static_cast<std::uint8_t>(0x10 + round);
+    std::vector<std::uint8_t> big(kBig, fill);
+    std::vector<std::uint8_t> small(kSmall,
+                                    static_cast<std::uint8_t>(fill + 0x40));
+    wait(c2, fab.isend(c2, 2, 1, 2, big.data(), kBig, 5, 0));
+    wait(c2, fab.isend(c2, 2, 1, 2, small.data(), kSmall, 6, 0));
+    std::vector<std::uint8_t> got_big(kBig, 0);
+    wait(c1, fab.irecv(c1, 1, got_big.data(), kBig, 2, 5, 0));
+    EXPECT_EQ(got_big, big);
+    constexpr std::uint8_t kSentinel = 0xEE;
+    std::vector<std::uint8_t> got(kBig, kSentinel);
+    mpi::Status st;
+    wait(c1, fab.irecv(c1, 1, got.data(), got.size(), 2, 6, 0), &st);
+    EXPECT_EQ(st.bytes, kSmall);
+    EXPECT_TRUE(std::equal(small.begin(), small.end(), got.begin()));
+    EXPECT_EQ(std::count(got.begin() + kSmall, got.end(), kSentinel),
+              static_cast<std::ptrdiff_t>(kBig - kSmall));
+  }
+  EXPECT_GE(fab.spare_wire_bytes(1), kBig + kSmall);
+  // A replacement node starts with an empty NIC: nothing is kept.
+  fab.revive_node(0);
+  EXPECT_EQ(fab.spare_wire_bytes(0), 0u);
+  EXPECT_EQ(fab.spare_wire_bytes(1), 0u);
 }
 
 // ---- transient-failure retry (the "shm:flap" / "fabric:flap" sites) ----

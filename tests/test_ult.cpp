@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "check/deterministic_executor.hpp"
@@ -50,6 +53,77 @@ TEST(Fiber, ExceptionPropagatesFromResume) {
   ult::Fiber f([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.resume(), std::runtime_error);
   EXPECT_TRUE(f.done());
+}
+
+namespace {
+
+/// 1/3 in the current SSE rounding mode (volatile: computed at run time).
+double third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+}  // namespace
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  // The FP control state is part of a fiber's context: a mode set inside
+  // a fiber survives its yields, and neither the resumer nor a fiber
+  // interleaved on the same thread sees it.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = third();
+  int up_ok = 0;
+  int near_ok = 0;
+  ult::Fiber up([&] {
+    std::fesetround(FE_UPWARD);
+    for (int i = 0; i < 3; ++i) {
+      ult::Fiber::yield();
+      if (std::fegetround() == FE_UPWARD && third() > nearest) ++up_ok;
+    }
+  });
+  ult::Fiber near([&] {
+    for (int i = 0; i < 3; ++i) {
+      if (std::fegetround() == FE_TONEAREST && third() == nearest) ++near_ok;
+      ult::Fiber::yield();
+    }
+  });
+  while (!up.done() || !near.done()) {
+    if (!up.done()) up.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    if (!near.done()) near.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  }
+  EXPECT_EQ(up_ok, 3);
+  EXPECT_EQ(near_ok, 3);
+  EXPECT_EQ(third(), nearest);
+}
+
+TEST(Fiber, ExceptionThrownAndCaughtAcrossYields) {
+  // Unwinding runs on the fiber's own stack: a throw after a yield is
+  // caught inside the fiber, destructors on the way run, and the fiber
+  // yields again from inside the handler.
+  std::vector<std::string> log;
+  struct Guard {
+    std::vector<std::string>* log;
+    ~Guard() { log->push_back("unwound"); }
+  };
+  ult::Fiber f([&] {
+    try {
+      Guard g{&log};
+      ult::Fiber::yield();
+      throw std::runtime_error("thrown");
+    } catch (const std::runtime_error& e) {
+      log.push_back(e.what());
+      ult::Fiber::yield();
+      log.push_back("handler resumed");
+    }
+  });
+  EXPECT_FALSE(f.resume());
+  EXPECT_TRUE(log.empty());
+  EXPECT_FALSE(f.resume());
+  EXPECT_EQ(log, (std::vector<std::string>{"unwound", "thrown"}));
+  EXPECT_TRUE(f.resume());
+  EXPECT_EQ(log.back(), "handler resumed");
 }
 
 TEST(Fiber, MisuseThrows) {
